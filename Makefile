@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify chaos chaos-e2e lint bench fuzz cluster-smoke experiments figures examples clean
+.PHONY: all build test race verify chaos chaos-e2e lint bench bench-e2e fuzz cluster-smoke experiments figures examples clean
 
 all: build test
 
@@ -58,13 +58,21 @@ lint:
 # live Put-path observability overhead (figure putpath, now with
 # allocs/op), and the pinned SPSC ping-pong recipes (figure pingpong)
 # written to BENCH_PBPL.json for run-over-run diffing. The alloc gate
-# fails the target if any hot-path benchmark reports allocs/op > 0; the
+# fails the target if any hot-path benchmark reports allocs/op > 0 or
+# the server's ingest benchmarks exceed their allocs/item budget; the
 # grep fails it if the powercap series drops out of the JSON document.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	bash scripts/alloc_gate.sh
 	$(GO) run ./cmd/pcbench -json -duration 2s -reps 2 -putbench
 	grep -q '"figure": "powercap"' BENCH_PBPL.json
+
+# The whole-path benchmark declared in BENCHMARK.json: ingest → deliver
+# over loopback, four workloads, end-to-end metrics untraced and the
+# per-layer budget from a traced run (see bench/README.md). Builds into
+# .bench_build/, writes bench/out/ (both git-ignored).
+bench-e2e:
+	bash bench/run.sh
 
 # Coverage-guided fuzzing smoke: a short budget per target on top of
 # the checked-in seed corpora (testdata/fuzz). Grow FUZZTIME locally

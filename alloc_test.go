@@ -1,6 +1,10 @@
 package repro
 
 import (
+	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,5 +91,71 @@ func TestPutBatchSteadyStateAllocFree(t *testing.T) {
 	})
 	if avg > 1 {
 		t.Fatalf("PutBatch steady state: %.2f allocs per 1024 items, want ~0", avg)
+	}
+}
+
+// TestDeliveredItemsAreCollectable pins the other half of the memory
+// contract: once a batch's handler has returned, the pair keeps no
+// reference to its items. The drain scratch (and a redelivered batch's
+// retry copy) used to be re-sliced to [:0] without zeroing, so the last
+// batch's payloads stayed reachable until the next drain overwrote them
+// — on an idle stream, forever.
+func TestDeliveredItemsAreCollectable(t *testing.T) {
+	type payload struct{ _ [1 << 10]byte }
+	const items = 32
+	for _, tc := range []struct {
+		name  string
+		fails int // handler failures before it delivers (exercises retry)
+	}{{"scratch", 0}, {"retry", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := New(WithSlotSize(time.Millisecond), WithMaxLatency(5*time.Millisecond), WithBuffer(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			delivered := make(chan int, items)
+			fails := tc.fails
+			pair, err := Open(rt, Func(func(_ context.Context, batch []*payload) error {
+				if fails > 0 {
+					fails--
+					return errors.New("injected")
+				}
+				delivered <- len(batch)
+				return nil
+			}), Redelivery(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pair.Close()
+
+			var freed atomic.Int32
+			batch := make([]*payload, items)
+			for i := range batch {
+				batch[i] = new(payload)
+				runtime.SetFinalizer(batch[i], func(*payload) { freed.Add(1) })
+			}
+			if n, err := pair.PutBatch(batch); n != items || err != nil {
+				t.Fatalf("PutBatch = %d, %v", n, err)
+			}
+			clear(batch)
+			for got := 0; got < items; {
+				select {
+				case n := <-delivered:
+					got += n
+				case <-time.After(5 * time.Second):
+					t.Fatalf("delivered %d of %d", got, items)
+				}
+			}
+			// The handler signals before it returns; the clear follows.
+			// Finalizers run on their own goroutine after a collection.
+			deadline := time.Now().Add(5 * time.Second)
+			for freed.Load() < items && time.Now().Before(deadline) {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if n := freed.Load(); n < items {
+				t.Fatalf("%d of %d delivered items still reachable from the idle pair", items-n, items)
+			}
+		})
 	}
 }

@@ -336,7 +336,7 @@ func run(args []string, sig chan os.Signal, stdout, stderr io.Writer) int {
 		perWake /= float64(wakes)
 	}
 	fmt.Fprintf(stdout,
-		"pcd: served %d items (%d shed as overflow, %d dropped) over %.1fs: %d wakeups (%d timer + %d forced), %.1f items/wakeup\n",
+		"pcd: served %d items (%d overflows, %d dropped) over %.1fs: %d wakeups (%d timer + %d forced), %.1f items/wakeup\n",
 		st.ItemsOut, st.Overflows, st.ItemsDropped, elapsed.Seconds(), wakes, st.TimerWakes, st.ForcedWakes, perWake)
 	return code
 }

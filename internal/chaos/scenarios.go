@@ -457,10 +457,14 @@ func (rc *runCtx) runReload() error {
 	return rc.finish(true)
 }
 
-// runFlashCrowd: a synchronized spike over small buffers must shed at
-// the door — and every shed item must be refused, never half-ingested.
+// runFlashCrowd: a synchronized spike over small buffers and consumers
+// slower than the spike must shed at the door — and every shed item
+// must be refused, never half-ingested. The per-item handler work is
+// what makes it shed: ingest waits a bounded time on a full pair before
+// it sheds, and a consumer that keeps up turns the whole spike into
+// late acks (0 shed), which is not what this scenario is here to test.
 func (rc *runCtx) runFlashCrowd() error {
-	if err := rc.boot(2, "-buffer", "128"); err != nil {
+	if err := rc.boot(2, "-buffer", "128", "-work", "2ms"); err != nil {
 		return err
 	}
 	sc, err := trace.ByName("flashcrowd", rc.seed, 4, 4*simtime.Second, 2400)

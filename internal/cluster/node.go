@@ -266,7 +266,9 @@ func (n *Node) putStash(key, tenant string, items [][]byte) {
 	if e, ok := n.stash[key]; ok {
 		e.items = append(e.items, items...)
 	} else {
-		n.stash[key] = &stashEntry{tenant: tenant, items: items}
+		// Copy the headers: the slice belongs to the caller (Forward's
+		// contract), which recycles it.
+		n.stash[key] = &stashEntry{tenant: tenant, items: append([][]byte(nil), items...)}
 	}
 	n.stashMu.Unlock()
 }

@@ -97,8 +97,8 @@ func (s *Server) handleLatency(w http.ResponseWriter, r *http.Request) {
 // streamKeysByPair maps pair id → stream key for the streams this
 // server owns (embedding programs may run pairs the server never sees).
 func (s *Server) streamKeysByPair() map[int]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make(map[int]string, len(s.streams))
 	for _, st := range s.streams {
 		out[st.pair.ID()] = st.key

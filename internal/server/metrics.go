@@ -66,6 +66,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("pcd_shed_total", "Items shed by admission control (pair at quota), by protocol.", float64(s.shedTCP.Load()), "proto", "tcp")
 	p.Counter("pcd_shed_quarantined_total", "Items rejected because the stream's pair was quarantined (breaker open), by protocol.", float64(s.quarantinedHTTP.Load()), "proto", "http")
 	p.Counter("pcd_shed_quarantined_total", "Items rejected because the stream's pair was quarantined (breaker open), by protocol.", float64(s.quarantinedTCP.Load()), "proto", "tcp")
+	for src, w := range s.overflowWaitStatus() {
+		p.Counter("pcd_ingest_overflow_waits_total", "Ingest batches that found their pair full and waited for the forced drain, by entry protocol.", float64(w.Waits), "proto", src)
+		p.Counter("pcd_ingest_overflow_wait_seconds_total", "Time ingest batches spent waiting for a forced drain (slow acks, nothing shed), by entry protocol.", w.Seconds, "proto", src)
+	}
 	p.Counter("pcd_tcp_malformed_total", "Raw-TCP lines that did not parse.", float64(s.tcpMalformed.Load()))
 	p.Counter("pcd_stream_rejects_total", "Stream creations rejected (pair table full).", float64(s.streamRejects.Load()))
 

@@ -25,6 +25,25 @@ type IngestResult struct {
 	Quarantined int
 }
 
+func (r *IngestResult) add(o IngestResult) {
+	r.Accepted += o.Accepted
+	r.Shed += o.Shed
+	r.Quarantined += o.Quarantined
+}
+
+// proto names the face a batch entered this node by; it labels the
+// per-protocol ingest counters.
+type proto int
+
+const (
+	protoHTTP proto = iota
+	protoTCP
+	protoFwd // forwarded by a peer over the cluster wire
+	numProtos
+)
+
+var protoNames = [numProtos]string{"http", "tcp", "fwd"}
+
 // Route is the resolution of one stream key to its owning node.
 type Route struct {
 	// Local reports that this node owns the stream.
@@ -48,7 +67,8 @@ type Router interface {
 	// authenticated tenant id ("" on an open server) so the owner
 	// charges the right buffer budget. An error means the items were
 	// NOT delivered (the caller falls back to local ingest so no item
-	// is lost to routing).
+	// is lost to routing). The items slice is the caller's to reuse
+	// once Forward returns — keep payloads, never the slice itself.
 	Forward(tenant, key string, items [][]byte) (IngestResult, error)
 	// Status reports cluster state for /statusz and /metrics.
 	Status() ClusterStatus
@@ -109,93 +129,146 @@ func (s *Server) SetRouter(r Router) { s.router = r }
 // raw TCP, and frames forwarded from peers. The returned error is
 // non-nil only when the stream cannot exist at all (pair table full) or
 // the server is draining.
-func (s *Server) ingestLocal(tenantID, key string, items [][]byte) (IngestResult, error) {
+func (s *Server) ingestLocal(src proto, tenantID, key string, items [][]byte) (IngestResult, error) {
+	var total IngestResult
 	for attempt := 0; ; attempt++ {
 		st, err := s.streamFor(key, tenantID)
 		if err != nil {
-			return IngestResult{}, err
+			if total == (IngestResult{}) {
+				return total, err
+			}
+			// Part of the batch went into a pair that was then detached
+			// and the key cannot be reopened: the verdict on what was
+			// admitted must still reach the caller.
+			total.Shed += len(items)
+			return total, nil
 		}
-		res, ok := s.putAll(st, items)
-		if ok {
-			return res, nil
+		res, rest := s.putAll(src, st, items)
+		total.add(res)
+		if len(rest) == 0 {
+			return total, nil
 		}
 		// The stream was detached (migrated away) between lookup and
-		// Put. Re-resolve: the router now points at the new owner; after
-		// a few tries fall back to a fresh local pair so items are never
-		// lost to a routing race.
+		// Put, or while the tail waited out an overflow. Re-resolve: the
+		// router now points at the new owner; after a few tries fall back
+		// to a fresh local pair so items are never lost to a routing
+		// race.
+		items = rest
 		if r := s.router; r != nil && attempt < 3 {
 			if rt := r.Resolve(key); !rt.Local {
 				if res, err := r.Forward(tenantID, key, items); err == nil {
-					return res, nil
+					total.add(res)
+					return total, nil
 				}
 			}
 		}
 	}
 }
 
-// putAll puts every item into the stream's pair under its read lock.
-// ok=false means the stream was detached and nothing was admitted.
+// overflowWaitBound is how long putAll keeps offering a pair the tail
+// it had no room for before shedding it. The overflow has already
+// forced the drain, so room normally appears within one handler run
+// (longest wait measured under the saturating benchmark: 5 ms); the
+// bound is what a producer pays when the consumer is wedged instead.
+const overflowWaitBound = 50 * time.Millisecond
+
+// putAll offers items to the stream's pair as one batch and returns the
+// verdict plus the items it could not place because the stream was
+// detached (the caller re-resolves those; everything else is accounted
+// in the verdict).
+//
+// A full pair is the paper's overflow (§V): PutBatch has woken the
+// consumer, and the producer waits for it — the unadmitted tail is
+// retried with PutWait's 50 µs→2 ms backoff until it fits or
+// overflowWaitBound elapses, and only then shed. A quarantined or closed
+// pair and a draining server never wait. The stream's read lock is
+// dropped while sleeping, so a pending DetachStream (a writer, which
+// would stall every other reader behind it) is delayed by one PutBatch,
+// not by the wait.
 //
 // With a tenant registry the stream's tenant is charged first: items
 // beyond the elastic buffer grant are shed at the tenant layer before
-// the pair ever sees them (the tenant-fairness wall), grants that the
-// pair then sheds are returned, and accepted items stay charged until
-// the consumer handler delivers them (releaseCharged).
-func (s *Server) putAll(st *stream, items [][]byte) (IngestResult, bool) {
+// the pair ever sees them (the tenant-fairness wall, which never
+// waits), grants that the pair then sheds are returned, and accepted
+// items stay charged until the consumer handler delivers them
+// (releaseCharged).
+func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult, detached [][]byte) {
 	st.mu.RLock()
-	defer st.mu.RUnlock()
 	if st.detached {
-		return IngestResult{}, false
+		st.mu.RUnlock()
+		return res, items
 	}
-	var res IngestResult
 	grant := len(items)
 	if st.tn != nil {
 		grant = st.tn.AcquireBuffer(len(items))
-		// Charge before the Puts: the consumer may deliver (and
-		// release) an item the instant it lands.
+		// Charge before the Put: the consumer may deliver (and release)
+		// an item the instant it lands.
 		st.charged.Add(int64(grant))
 	}
-	for _, item := range items[:grant] {
-		closed := false
-		switch err := st.pair.Put(item); {
-		case err == nil:
-			res.Accepted++
-		case errors.Is(err, repro.ErrOverflow):
-			res.Shed++
-		case errors.Is(err, repro.ErrQuarantined):
-			res.Quarantined++
-		case errors.Is(err, repro.ErrClosed):
-			// Draining: remaining granted items count as shed.
-			res.Shed += grant - res.Accepted - res.Shed - res.Quarantined
-			closed = true
+	res.Shed = len(items) - grant
+	rest := items[:grant]
+	var waitFrom time.Time
+	backoff := 50 * time.Microsecond
+	for {
+		n, err := st.pair.PutBatch(rest)
+		res.Accepted += n
+		rest = rest[n:]
+		if !errors.Is(err, repro.ErrOverflow) {
+			// All placed, or a pair that waiting will not open.
+			if errors.Is(err, repro.ErrQuarantined) {
+				res.Quarantined += len(rest)
+			} else {
+				res.Shed += len(rest) // ErrClosed: draining
+			}
+			break
 		}
-		if closed {
+		if waitFrom.IsZero() {
+			waitFrom = time.Now()
+		}
+		if s.draining.Load() || time.Since(waitFrom) >= overflowWaitBound {
+			res.Shed += len(rest)
+			break
+		}
+		st.mu.RUnlock()
+		time.Sleep(backoff)
+		if backoff < 2*time.Millisecond {
+			backoff *= 2
+		}
+		st.mu.RLock()
+		if st.detached {
+			// DetachStream has already returned whatever the stream held
+			// charged, this call's unplaced grant included.
+			detached = rest
 			break
 		}
 	}
-	res.Shed += len(items) - grant
+	st.mu.RUnlock()
+	if !waitFrom.IsZero() {
+		s.overflowWaits[src].Add(1)
+		s.overflowWaitNs[src].Add(int64(time.Since(waitFrom)))
+	}
 	if st.tn != nil {
-		st.releaseCharged(grant - res.Accepted) // failed puts return their grant
+		st.releaseCharged(grant - res.Accepted) // unplaced items return their grant
 		st.tn.CountAccepted(res.Accepted)
 		st.tn.CountShedBuffer(res.Shed)
 		st.tn.CountQuarantined(res.Quarantined)
 	}
-	return res, true
+	return res, detached
 }
 
 // routedIngest is the full ingest path: resolve the key's owner, admit
 // locally when owned, otherwise forward — falling back to local ingest
 // when the forward fails, so no item is ever lost to routing. The
 // returned Route lets HTTP callers answer redirects instead.
-func (s *Server) routedIngest(tenantID, key string, items [][]byte) (IngestResult, Route, error) {
+func (s *Server) routedIngest(src proto, tenantID, key string, items [][]byte) (IngestResult, Route, error) {
 	r := s.router
 	if r == nil {
-		res, err := s.ingestLocal(tenantID, key, items)
+		res, err := s.ingestLocal(src, tenantID, key, items)
 		return res, Route{Local: true}, err
 	}
 	route := r.Resolve(key)
 	if route.Local {
-		res, err := s.ingestLocal(tenantID, key, items)
+		res, err := s.ingestLocal(src, tenantID, key, items)
 		return res, route, err
 	}
 	// A stream this node still hosts keeps ingesting locally even when
@@ -204,7 +277,7 @@ func (s *Server) routedIngest(tenantID, key string, items [][]byte) (IngestResul
 	// sent, so the new owner sees items in arrival order. Forwarding
 	// starts the moment the stream is detached.
 	if s.hosts(key) {
-		res, err := s.ingestLocal(tenantID, key, items)
+		res, err := s.ingestLocal(src, tenantID, key, items)
 		return res, Route{Local: true}, err
 	}
 	if res, err := r.Forward(tenantID, key, items); err == nil {
@@ -214,16 +287,16 @@ func (s *Server) routedIngest(tenantID, key string, items [][]byte) (IngestResul
 	// Owner unreachable: admit locally. The ownership sweep re-ships
 	// the stream once the owner is back (or the routing table moves on).
 	s.forwardFallbacks.Add(1)
-	res, err := s.ingestLocal(tenantID, key, items)
+	res, err := s.ingestLocal(src, tenantID, key, items)
 	return res, Route{Local: true}, err
 }
 
 // hosts reports whether this node currently hosts the key's stream
 // (present and not mid-detach).
 func (s *Server) hosts(key string) bool {
-	s.mu.Lock()
+	s.mu.RLock()
 	st, ok := s.streams[key]
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -249,7 +322,7 @@ func (s *Server) IngestForwarded(tenant, key string, items [][]byte) (IngestResu
 	if reg := s.cfg.Tenants; reg != nil && reg.TenantByID(tenant) == nil {
 		return IngestResult{}, errors.New("unknown tenant " + tenant)
 	}
-	res, err := s.ingestLocal(tenant, key, items)
+	res, err := s.ingestLocal(protoFwd, tenant, key, items)
 	if err == nil {
 		s.forwardedIn.Add(uint64(res.Accepted))
 	}
@@ -378,8 +451,8 @@ func (s *Server) DetachStream(key string) (items [][]byte, tenantID string, ok b
 
 // StreamKeys lists the stream keys this node currently hosts.
 func (s *Server) StreamKeys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	keys := make([]string, 0, len(s.streams))
 	for k := range s.streams {
 		keys = append(keys, k)
@@ -392,12 +465,12 @@ func (s *Server) StreamKeys() []string {
 // the window as its time constant). The fleet placement controller
 // feeds these to the packer.
 func (s *Server) StreamLoads() map[string]float64 {
-	s.mu.Lock()
+	s.mu.RLock()
 	streams := make(map[string]*stream, len(s.streams))
 	for k, st := range s.streams {
 		streams[k] = st
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	now := time.Now()
 	loads := make(map[string]float64, len(streams))
 	for k, st := range streams {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -46,32 +45,7 @@ func TestIngestHandoffCountsStreamsNotChunks(t *testing.T) {
 // items as Quarantined, not fold them into Shed — the conservation
 // ledger separates the two terms.
 func TestIngestHandoffClassifiesQuarantined(t *testing.T) {
-	s, _ := newTestServer(t, Config{
-		HandlerFuncFor: func(string) func(context.Context, [][]byte) error {
-			return func(context.Context, [][]byte) error { return errors.New("permanently broken") }
-		},
-		PairOptions: func(string) []repro.PairOption {
-			return []repro.PairOption{repro.Breaker(1), repro.Redelivery(0)}
-		},
-		// A one-second slot keeps the breaker's half-open probe far away
-		// so the asserts below cannot race into the probe window.
-	}, repro.WithSlotSize(time.Second), repro.WithMaxLatency(5*time.Second), repro.WithBuffer(2))
-	st, err := s.streamFor("q", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the quota, then overflow to force the failing drain that
-	// opens the breaker.
-	for i := 0; i < 3; i++ {
-		st.pair.Put([]byte("x"))
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !st.pair.Quarantined() {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	s := quarantinedServer(t)
 	res, err := s.IngestHandoff("", "q", [][]byte{[]byte("m1"), []byte("m2")}, false)
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,22 @@
 //
 // Design rules, in order:
 //
-//   - The accept loops never block on the runtime. Admission control is
-//     the pair's elastic quota: a Put that overflows is shed (HTTP 429 /
-//     TCP silent drop) and counted, never retried server-side. The
-//     overflow itself already forced a drain, so shedding is also the
-//     fastest way to make room.
+//   - A request costs one allocation, not several per item. The body
+//     (HTTP) or the payloads of one read (raw TCP) are copied once into
+//     a slab, the items are sub-slices of it, and the whole batch goes
+//     to its pair in one PutBatch. The handler contract this implies:
+//     the items of one request share a backing array, so a handler that
+//     retains one item retains that request's slab (at most
+//     MaxBodyBytes).
+//   - A full pair is backpressure before it is loss. The overflowing
+//     PutBatch has already forced the drain (the paper's overflow
+//     wakeup, §V), so the producer waits for it: the unadmitted tail is
+//     retried for a bounded time (overflowWaitBound), HTTP delaying its
+//     ack and the raw-TCP reader not reading, so the kernel's flow
+//     control slows the sender. Only what still does not fit is shed
+//     (HTTP 429 / TCP silent drop) and counted. What never waits: the
+//     accept loops, other streams' requests, a quarantined or closed
+//     pair, the tenant walls, and a draining server.
 //   - Every stream key maps to one pair (the paper's one-producer-
 //     one-consumer pairing); pairs are created on first use and capped
 //     by the runtime's MaxPairs (exhaustion is 503, not 429 — the
@@ -180,7 +191,7 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	mu      sync.Mutex
+	mu      sync.RWMutex // exclusive only to create or detach a stream
 	streams map[string]*stream
 
 	draining atomic.Bool
@@ -194,6 +205,10 @@ type Server struct {
 	quarantinedTCP  atomic.Uint64
 	tcpMalformed    atomic.Uint64
 	streamRejects   atomic.Uint64
+	// Batches that found their pair full and waited for the forced
+	// drain (putAll), and how long in total, by entry protocol.
+	overflowWaits  [numProtos]atomic.Uint64
+	overflowWaitNs [numProtos]atomic.Int64
 
 	// Cluster-path accounting (all zero on a clusterless server).
 	forwardedOut       atomic.Uint64 // items shipped to their owner
@@ -315,12 +330,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Flush: close every pair; Pair.Close drains the remaining buffer
 	// through its manager before releasing pool capacity.
-	s.mu.Lock()
+	s.mu.RLock()
 	streams := make([]*stream, 0, len(s.streams))
 	for _, st := range s.streams {
 		streams = append(streams, st)
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	for _, st := range streams {
 		if err := st.pair.Close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -344,14 +359,25 @@ var errTenantMismatch = errors.New("stream key owned by another tenant")
 // handler is wrapped so delivered items return their tenant's buffer
 // charge to the elastic pool.
 func (s *Server) streamFor(key, tenantID string) (*stream, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.streams[key]; ok {
-		if s.cfg.Tenants != nil && st.tenantID != tenantID {
-			return nil, errTenantMismatch
+	s.mu.RLock()
+	st, ok := s.streams[key]
+	s.mu.RUnlock()
+	if !ok {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if st, ok = s.streams[key]; !ok {
+			return s.openStreamLocked(key, tenantID)
 		}
-		return st, nil
 	}
+	if s.cfg.Tenants != nil && st.tenantID != tenantID {
+		return nil, errTenantMismatch
+	}
+	return st, nil
+}
+
+// openStreamLocked opens the key's pair and registers its stream;
+// s.mu is held exclusively.
+func (s *Server) openStreamLocked(key, tenantID string) (*stream, error) {
 	var opts []repro.PairOption
 	if s.cfg.PairOptions != nil {
 		opts = s.cfg.PairOptions(key)
@@ -414,29 +440,49 @@ func (s *Server) validKey(key string) bool {
 	return !strings.ContainsAny(key, "/ \t\r\n")
 }
 
-// splitItems turns a newline-delimited ingest body into one copied
-// item per non-empty line.
-func splitItems(body []byte) [][]byte {
-	var items [][]byte
-	for _, line := range bytes.Split(body, []byte("\n")) {
-		line = bytes.TrimRight(line, "\r")
-		if len(line) == 0 {
-			continue
+var newline = []byte{'\n'}
+
+// splitItems appends one item per non-empty line of a newline-delimited
+// ingest body to dst. The items are sub-slices of body, capacity
+// clipped so appending to one cannot reach its neighbour.
+func splitItems(dst [][]byte, body []byte) [][]byte {
+	for len(body) > 0 {
+		var line []byte
+		line, body, _ = bytes.Cut(body, newline)
+		if line = bytes.TrimRight(line, "\r"); len(line) > 0 {
+			dst = append(dst, line[:len(line):len(line)])
 		}
-		item := make([]byte, len(line))
-		copy(item, line)
-		items = append(items, item)
 	}
-	return items
+	return dst
+}
+
+// itemHeaders recycles the per-request slice of item headers: nothing
+// downstream of routedIngest keeps the slice (pairs copy the headers
+// into their rings, Router.Forward encodes them), only the payloads.
+var itemHeaders = sync.Pool{New: func() any { return new([][]byte) }}
+
+// readBody reads one ingest body into a single slab: exactly sized
+// when the client declared a length within the limit, grown by
+// io.ReadAll for chunked bodies — and for a declared length over the
+// limit, which MaxBytesReader then refuses as it always did.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		slab := make([]byte, n)
+		_, err := io.ReadFull(body, slab)
+		return slab, err
+	}
+	return io.ReadAll(body)
 }
 
 // handleIngest serves POST /ingest/<key>: each newline-delimited body
-// record is one item. Items that find the pair at quota are shed and
-// reported with 429 — the producer-facing face of the paper's overflow
-// wakeup. The handler never blocks on buffer space. In cluster mode a
-// key owned by another node is forwarded to it — or, when the client
-// sent "X-Pcd-Redirect: 1", answered with 307 to the owner's ingest URL
-// so smart clients pin the owner and skip the extra hop.
+// record is one item. A batch that finds the pair at quota waits for
+// the drain its overflow forced, delaying this ack (putAll); items
+// still without room after the bound are shed and reported with 429 —
+// the producer-facing face of the paper's overflow wakeup. In cluster
+// mode a key owned by another node is forwarded to it — or, when the
+// client sent "X-Pcd-Redirect: 1", answered with 307 to the owner's
+// ingest URL so smart clients pin the owner and skip the extra hop.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.httpRequests.Add(1)
 	if r.Method != http.MethodPost && r.Method != http.MethodPut {
@@ -459,12 +505,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad stream key", http.StatusBadRequest)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
 		http.Error(w, "body read: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
-	items := splitItems(body)
+	headers := itemHeaders.Get().(*[][]byte)
+	items := splitItems((*headers)[:0], body)
+	defer func(all [][]byte) {
+		clear(all) // a pooled header must not pin this request's slab
+		*headers = all[:0]
+		itemHeaders.Put(headers)
+	}(items)
 	if len(items) == 0 {
 		http.Error(w, "empty body: newline-delimited items expected", http.StatusBadRequest)
 		return
@@ -499,7 +551,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, route, err := s.routedIngest(tenantID, key, items)
+	res, route, err := s.routedIngest(protoHTTP, tenantID, key, items)
 	if err != nil {
 		if errors.Is(err, errTenantMismatch) {
 			http.Error(w, err.Error(), http.StatusForbidden)
@@ -547,12 +599,7 @@ type streamSnapshot struct {
 }
 
 func (s *Server) snapshotStreams() []streamSnapshot {
-	s.mu.Lock()
-	byID := make(map[int]string, len(s.streams))
-	for _, st := range s.streams {
-		byID[st.pair.ID()] = st.key
-	}
-	s.mu.Unlock()
+	byID := s.streamKeysByPair()
 	snaps := s.rt.PairSnapshots()
 	out := make([]streamSnapshot, 0, len(snaps))
 	for _, ps := range snaps {
@@ -670,11 +717,32 @@ type statusz struct {
 	QuarantinedHTTP  uint64                   `json:"quarantined_http"`
 	QuarantinedTCP   uint64                   `json:"quarantined_tcp"`
 	StreamRejects    uint64                   `json:"stream_rejects"`
+	OverflowWaits    map[string]overflowWaitz `json:"ingest_overflow_waits"`
 	Placement        placementz               `json:"placement"`
 	Power            *powerz                  `json:"power,omitempty"`
 	Cluster          *clusterz                `json:"cluster,omitempty"`
 	Tenants          *tenant.RegistrySnapshot `json:"tenants,omitempty"`
 	Streams          []streamSnapshot         `json:"streams"`
+}
+
+// overflowWaitz is one protocol's row of the /statusz overflow-wait
+// table: batches that waited for a forced drain, and for how long —
+// slow acks with Shed still 0 mean the consumer is behind, not that
+// items are being lost.
+type overflowWaitz struct {
+	Waits   uint64  `json:"waits"`
+	Seconds float64 `json:"seconds"`
+}
+
+func (s *Server) overflowWaitStatus() map[string]overflowWaitz {
+	out := make(map[string]overflowWaitz, numProtos)
+	for p, name := range protoNames {
+		out[name] = overflowWaitz{
+			Waits:   s.overflowWaits[p].Load(),
+			Seconds: time.Duration(s.overflowWaitNs[p].Load()).Seconds(),
+		}
+	}
+	return out
 }
 
 // clusterz is the cluster section of /statusz: membership (peer states)
@@ -726,6 +794,7 @@ func (s *Server) statusSnapshot() statusz {
 		QuarantinedHTTP:  s.quarantinedHTTP.Load(),
 		QuarantinedTCP:   s.quarantinedTCP.Load(),
 		StreamRejects:    s.streamRejects.Load(),
+		OverflowWaits:    s.overflowWaitStatus(),
 		Placement:        s.placementStatus(),
 		Power:            s.powerStatus(),
 		Cluster:          s.clusterStatus(),

@@ -1,8 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"net"
 
 	"repro/internal/tenant"
@@ -10,10 +11,15 @@ import (
 
 // The raw-TCP line protocol: one item per line, `<key> <payload>\n`.
 // It exists for producers that cannot afford HTTP framing (the paper's
-// device-driver motivation, §I). The contract is deliberately lossy:
-// items that find their pair at quota are dropped and counted
-// (pcd_shed_total{proto="tcp"}) — never acknowledged, never blocking
-// the reader. Malformed lines are counted and skipped.
+// device-driver motivation, §I). Nothing is acknowledged, so the
+// protocol's only backpressure is the kernel's: while a batch waits
+// out a full pair (putAll's bounded wait on the drain its overflow
+// forced) the connection's reader is not reading, the socket buffers
+// fill, and the sender's writes slow down. Other connections and
+// streams are not held up. Items that still find no room after the
+// bound are dropped and counted (pcd_shed_total{proto="tcp"}), as are
+// lines over a tenant's rate budget. Malformed lines are counted and
+// skipped.
 
 // acceptTCP runs the raw-TCP accept loop until the listener closes.
 func (s *Server) acceptTCP(ln net.Listener) {
@@ -39,65 +45,210 @@ func (s *Server) acceptTCP(ln net.Listener) {
 	}
 }
 
+var errLineTooLong = errors.New("line exceeds MaxBodyBytes")
+
+// lineReader hands out a connection's bytes in whole lines, as many as
+// one Read delivered at a time.
+type lineReader struct {
+	r      io.Reader
+	buf    []byte
+	lo, hi int   // buf[lo:hi] is read and not yet handed out
+	max    int   // a line this long without its newline is refused
+	err    error // the Read error, reported once no whole line is left
+}
+
+// next returns the buffered bytes through the last newline — every
+// complete line on hand — or, with one set, through the first. It reads
+// from the connection only when no complete line is buffered. A final
+// line that EOF leaves unterminated is returned as it stands. The
+// result aliases the read buffer and is valid until the next call.
+func (lr *lineReader) next(one bool) ([]byte, error) {
+	for {
+		pending := lr.buf[lr.lo:lr.hi]
+		var end int
+		if one {
+			end = bytes.IndexByte(pending, '\n')
+		} else {
+			end = bytes.LastIndexByte(pending, '\n')
+		}
+		if end >= 0 {
+			lr.lo += end + 1
+			return pending[:end+1], nil
+		}
+		if lr.err != nil {
+			if lr.err == io.EOF && len(pending) > 0 {
+				lr.lo = lr.hi
+				return pending, nil
+			}
+			return nil, lr.err
+		}
+		if len(pending) >= lr.max {
+			return nil, errLineTooLong
+		}
+		if lr.lo > 0 {
+			lr.hi = copy(lr.buf, pending)
+			lr.lo = 0
+		}
+		if lr.hi == len(lr.buf) {
+			grown := make([]byte, min(2*len(lr.buf), lr.max))
+			copy(grown, pending)
+			lr.buf = grown
+		}
+		n, err := lr.r.Read(lr.buf[lr.hi:])
+		lr.hi += n
+		lr.err = err
+	}
+}
+
+// tcpKey is one stream key as a connection knows it: the interned
+// string and the headers of the chunk's items for it, in arrival order.
+type tcpKey struct {
+	key   string
+	items [][]byte
+}
+
+// tcpLine is one valid line of the chunk being ingested.
+type tcpLine struct {
+	k       *tcpKey
+	payload []byte // aliases the read buffer
+}
+
+// maxInternedKeys bounds the key table a connection carries from one
+// chunk to the next; a client cycling through more keys than this has
+// the table rebuilt as it goes.
+const maxInternedKeys = 1024
+
+// tcpConn is one connection's ingest state. Everything here is reused
+// from chunk to chunk; only the payload slab is allocated per chunk.
+type tcpConn struct {
+	s        *Server
+	tn       *tenant.Tenant
+	tenantID string
+	keys     map[string]*tcpKey
+	lines    []tcpLine
+	active   []*tcpKey // keys with items in the current chunk, by first appearance
+}
+
 // serveTCP consumes one connection's lines until EOF, error, or drain.
-// In cluster mode each line rides the same routed ingest path as HTTP
-// (forwarded to its owner when the key hashes elsewhere); the lossy
-// contract is unchanged — the owner's sheds are its own accounting.
+// In cluster mode every batch rides the same routed ingest path as HTTP
+// (forwarded to its owner when the key hashes elsewhere) — the owner's
+// sheds are its own accounting.
 //
 // With a tenant registry the connection authenticates once, up front:
 // its first line must be `auth <api-key>` and a bad key closes the
 // connection (the TCP face of HTTP's 401). Rate-shed lines are dropped
-// and counted per tenant, honoring the lossy contract.
+// and counted per tenant.
 func (s *Server) serveTCP(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), int(s.cfg.MaxBodyBytes))
-	var tn *tenant.Tenant
+	lr := &lineReader{r: conn, max: int(s.cfg.MaxBodyBytes)}
+	lr.buf = make([]byte, min(64<<10, lr.max))
+	c := &tcpConn{s: s, keys: make(map[string]*tcpKey)}
 	if reg := s.cfg.Tenants; reg != nil {
-		if !sc.Scan() {
+		authLine, err := lr.next(true)
+		if err != nil {
 			return
 		}
-		authLine := sc.Bytes()
 		const prefix = "auth "
+		authLine = bytes.TrimRight(authLine, "\r\n")
 		if !bytes.HasPrefix(authLine, []byte(prefix)) {
 			s.tcpMalformed.Add(1)
 			return
 		}
-		if tn = reg.Authorize(string(authLine[len(prefix):])); tn == nil {
+		if c.tn = reg.Authorize(string(authLine[len(prefix):])); c.tn == nil {
 			return // counted in the registry's auth failures
 		}
+		c.tenantID = c.tn.ID()
 	}
-	tenantID := ""
-	if tn != nil {
-		tenantID = tn.ID()
-	}
-	for sc.Scan() {
+	for {
+		chunk, err := lr.next(false)
+		if err != nil {
+			if errors.Is(err, errLineTooLong) {
+				s.cfg.Logf("pcd: tcp %s: %v, closing", conn.RemoteAddr(), err)
+			}
+			return
+		}
 		if s.draining.Load() {
 			return
 		}
-		line := sc.Bytes()
+		c.ingest(chunk)
+	}
+}
+
+// ingest admits every line of chunk: validate, charge the tenant's rate
+// budget once for the lot, copy the admitted payloads into one slab
+// (chunk aliases the read buffer, which the next Read overwrites), and
+// hand each key's items to the routed ingest path as one batch. Lines
+// of one key keep their order; every line ends up in exactly one of
+// tcp_malformed, shed_tcp or a routed batch.
+func (c *tcpConn) ingest(chunk []byte) {
+	s := c.s
+	if len(c.keys) > maxInternedKeys {
+		clear(c.keys) // nothing references a key between chunks
+	}
+	c.lines = c.lines[:0]
+	for len(chunk) > 0 {
+		var line []byte
+		line, chunk, _ = bytes.Cut(chunk, newline)
+		line = bytes.TrimSuffix(line, []byte{'\r'})
 		sp := bytes.IndexByte(line, ' ')
-		if sp <= 0 || !s.validKey(string(line[:sp])) {
+		var k *tcpKey
+		if sp > 0 {
+			k = c.intern(line[:sp])
+		}
+		if k == nil {
 			s.tcpMalformed.Add(1)
 			continue
 		}
-		if tn != nil && tn.AdmitRate(1) == 0 {
-			tn.CountShedRate(1)
-			s.shedTCP.Add(1)
-			continue
+		c.lines = append(c.lines, tcpLine{k, line[sp+1:]})
+	}
+	admitted := c.lines
+	if c.tn != nil && len(admitted) > 0 {
+		admitted = admitted[:c.tn.AdmitRate(len(admitted))]
+		if shed := len(c.lines) - len(admitted); shed > 0 {
+			c.tn.CountShedRate(shed)
+			s.shedTCP.Add(uint64(shed))
 		}
-		key := string(line[:sp])
-		item := make([]byte, len(line)-sp-1)
-		copy(item, line[sp+1:])
-		res, route, err := s.routedIngest(tenantID, key, [][]byte{item})
-		if err != nil {
-			// Pair table full (or the key belongs to another tenant):
-			// drop; creation failures are counted in streamRejects.
-			continue
+	}
+	size := 0
+	for _, l := range admitted {
+		size += len(l.payload)
+	}
+	slab := make([]byte, 0, size)
+	for _, l := range admitted {
+		off := len(slab)
+		slab = append(slab, l.payload...)
+		if len(l.k.items) == 0 {
+			c.active = append(c.active, l.k)
 		}
-		if route.Local {
+		l.k.items = append(l.k.items, slab[off:len(slab):len(slab)])
+	}
+	for _, k := range c.active {
+		res, route, err := s.routedIngest(protoTCP, c.tenantID, k.key, k.items)
+		// An error is a full pair table (or a key that belongs to
+		// another tenant): drop; creation failures are counted in
+		// streamRejects.
+		if err == nil && route.Local {
 			s.ingestedTCP.Add(uint64(res.Accepted))
 			s.shedTCP.Add(uint64(res.Shed))
 			s.quarantinedTCP.Add(uint64(res.Quarantined))
 		}
+		clear(k.items) // reused headers must not pin the slab
+		k.items = k.items[:0]
 	}
+	c.active = c.active[:0]
+}
+
+// intern returns the connection's entry for a key, validating and
+// copying it the first time it is seen (the map lookup by string(b)
+// does not allocate). nil means the key is not a valid stream key.
+func (c *tcpConn) intern(b []byte) *tcpKey {
+	if k, ok := c.keys[string(b)]; ok {
+		return k
+	}
+	key := string(b)
+	if !c.s.validKey(key) {
+		return nil
+	}
+	k := &tcpKey{key: key}
+	c.keys[key] = k
+	return k
 }

@@ -177,9 +177,13 @@ func (st *pairState) probeDue(now simtime.Time) bool {
 
 // pairStats snapshots the pair's counters.
 func (st *pairState) pairStats() PairStats {
+	// Out before In: producers count an item in before publishing it,
+	// so loading in this order keeps ItemsOut <= ItemsIn in every
+	// snapshot.
+	out := st.itemsOut.Load()
 	return PairStats{
 		ItemsIn:      st.itemsIn.Load(),
-		ItemsOut:     st.itemsOut.Load(),
+		ItemsOut:     out,
 		Invocations:  st.invocations.Load(),
 		Overflows:    st.overflows.Load(),
 		Kicks:        st.kicks.Load(),

@@ -176,21 +176,25 @@ func (p *Pair[T]) drainFault(final bool) drainReport {
 		return rep
 	}
 	stamps := p.recordWait(len(batch))
-	if p.invoke(batch, &rep) {
+	switch {
+	case p.invoke(batch, &rep):
 		p.deliver(len(batch), &rep)
 		p.recordDone(stamps)
-		return rep
-	}
-	if final || p.st.maxRedeliver <= 0 {
+	case final || p.st.maxRedeliver <= 0:
 		p.dropBatch(len(batch), &rep)
-		return rep
+	default:
+		// Retain a copy for redelivery: batch aliases scratch, which the
+		// next drain reuses (likewise stamps and stampScratch).
+		p.retry = append(p.retry[:0], batch...)
+		p.retryStamps = append(p.retryStamps[:0], stamps...)
+		p.retryAttempts = 0
+		p.st.retained.Store(int64(len(batch)))
 	}
-	// Retain a copy for redelivery: batch aliases scratch, which the
-	// next drain reuses (likewise stamps and stampScratch).
-	p.retry = append(p.retry[:0], batch...)
-	p.retryStamps = append(p.retryStamps[:0], stamps...)
-	p.retryAttempts = 0
-	p.st.retained.Store(int64(len(batch)))
+	// The handler has returned and any redelivery copy is taken: zero
+	// the scratch so it does not keep the batch's payloads reachable
+	// until the next drain overwrites them (the ring zeroes consumed
+	// slots for the same reason).
+	clear(batch)
 	return rep
 }
 
@@ -309,6 +313,7 @@ func (p *Pair[T]) dropBatch(n int, rep *drainReport) {
 }
 
 func (p *Pair[T]) clearRetry() {
+	clear(p.retry) // as in drainFault: do not pin the batch's payloads
 	p.retry = p.retry[:0]
 	p.retryStamps = p.retryStamps[:0]
 	p.retryAttempts = 0
@@ -329,27 +334,32 @@ func (p *Pair[T]) Put(v T) error {
 	if p.st.quarantined.Load() && !p.st.probeDue(p.rt.now()) {
 		return ErrQuarantined
 	}
-	if p.q.Push(v) {
-		p.rt.stats.itemsIn.Add(1)
-		n := p.st.itemsIn.Add(1)
-		if po := p.st.obs; po != nil && n&stampSampleMask == 0 {
-			po.stamps.Push(p.rt.obs.clock.Now())
-		}
-		if p.rt.closed.Load() {
-			// Runtime.Close raced in after the entry check, so its
-			// final sweep may already have run: drain on the caller
-			// rather than strand the item. The item was accepted and
-			// handled, so report success.
-			p.st.countFinal(p.rt, p.drainFault(true))
-			return nil
-		}
-		p.kickIfUnarmed()
+	// Count before publishing (and take it back on overflow): a drain
+	// may credit ItemsOut the instant the item is visible, and a
+	// snapshot must never read Out ahead of In.
+	p.rt.stats.itemsIn.Add(1)
+	n := p.st.itemsIn.Add(1)
+	if !p.q.Push(v) {
+		p.st.itemsIn.Add(^uint64(0))
+		p.rt.stats.itemsIn.Add(^uint64(0))
+		p.rt.stats.overflows.Add(1)
+		p.st.overflows.Add(1)
+		p.forceDrain()
+		return ErrOverflow
+	}
+	if po := p.st.obs; po != nil && n&stampSampleMask == 0 {
+		po.stamps.Push(p.rt.obs.clock.Now())
+	}
+	if p.rt.closed.Load() {
+		// Runtime.Close raced in after the entry check, so its final
+		// sweep may already have run: drain on the caller rather than
+		// strand the item. The item was accepted and handled, so report
+		// success.
+		p.st.countFinal(p.rt, p.drainFault(true))
 		return nil
 	}
-	p.rt.stats.overflows.Add(1)
-	p.st.overflows.Add(1)
-	p.forceDrain()
-	return ErrOverflow
+	p.kickIfUnarmed()
+	return nil
 }
 
 // PutBatch buffers up to len(items) items with a single quota
@@ -368,10 +378,19 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 	if p.st.quarantined.Load() && !p.st.probeDue(p.rt.now()) {
 		return 0, ErrQuarantined
 	}
+	// Counted before publishing, as in Put; the rejected tail is taken
+	// back below.
+	want := uint64(len(items))
+	p.rt.stats.itemsIn.Add(want)
+	end := p.st.itemsIn.Add(want)
 	n := p.q.PushBatch(items)
+	rejected := want - uint64(n)
+	if rejected > 0 {
+		p.st.itemsIn.Add(-rejected)
+		p.rt.stats.itemsIn.Add(-rejected)
+		end -= rejected
+	}
 	if n > 0 {
-		p.rt.stats.itemsIn.Add(uint64(n))
-		end := p.st.itemsIn.Add(uint64(n))
 		if po := p.st.obs; po != nil {
 			// One stamp per sampling-stride boundary the batch crossed.
 			k := int(end>>stampSampleShift) - int((end-uint64(n))>>stampSampleShift)
@@ -389,8 +408,7 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 			p.kickIfUnarmed()
 		}
 	}
-	if n < len(items) {
-		rejected := uint64(len(items) - n)
+	if rejected > 0 {
 		p.rt.stats.overflows.Add(rejected)
 		p.st.overflows.Add(rejected)
 		p.forceDrain()

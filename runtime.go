@@ -80,12 +80,13 @@ type counters struct {
 }
 
 func (c *counters) snapshot() Stats {
+	out := c.itemsOut.Load() // before ItemsIn; see pairState.pairStats
 	return Stats{
 		TimerWakes:      c.timerWakes.Load(),
 		ForcedWakes:     c.forcedWakes.Load(),
 		Invocations:     c.invocations.Load(),
 		ItemsIn:         c.itemsIn.Load(),
-		ItemsOut:        c.itemsOut.Load(),
+		ItemsOut:        out,
 		Overflows:       c.overflows.Load(),
 		HandlerPanics:   c.handlerPanics.Load(),
 		HandlerErrors:   c.handlerErrors.Load(),

@@ -1,12 +1,18 @@
 #!/usr/bin/env bash
-# alloc_gate.sh — hard gate on the zero-allocation hot-path contract.
+# alloc_gate.sh — hard gate on the allocation contracts of the ingest
+# path, layer by layer.
 #
-# Runs the live producer-path benchmarks with -benchmem and fails if
-# any of them reports a nonzero allocs/op: steady-state Put and
-# PutBatch must not allocate. The companion unit tests
+# The ring: runs the live producer-path benchmarks with -benchmem and
+# fails if any of them reports a nonzero allocs/op — steady-state Put
+# and PutBatch must not allocate. The companion unit tests
 # (TestPutSteadyStateAllocFree, TestSPSCOpsAllocFree) catch the same
 # regressions under plain `go test`; this gate checks the exact
 # numbers `make bench` publishes.
+#
+# The server: internal/server's ingest benchmarks report allocs/item
+# (one slab per request, items as sub-slices, one PutBatch per stream)
+# and must stay within their budget — a relapse to per-item copies or
+# per-line ingest costs ≥ 1 alloc/item and fails here.
 #
 # Usage: scripts/alloc_gate.sh [benchtime]
 set -euo pipefail
@@ -25,3 +31,21 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 echo "alloc gate OK: all hot-path benchmarks at 0 allocs/op"
+
+# name:budget in allocs/item
+budgets='BenchmarkIngestHTTP:0.25 BenchmarkServeTCP:0.05'
+out="$(go test -run '^$' -bench '^(BenchmarkIngestHTTP|BenchmarkServeTCP)$' -benchtime "$benchtime" ./internal/server | tee /dev/stderr)"
+bad="$(awk -v budgets="$budgets" '
+    BEGIN { n = split(budgets, b, " "); for (i = 1; i <= n; i++) { split(b[i], kv, ":"); budget[kv[1]] = kv[2]; seen[kv[1]] = 0 } }
+    /allocs\/item/ {
+        name = $1; sub(/-[0-9]+$/, "", name)
+        for (i = 2; i <= NF; i++) if ($i == "allocs/item") v = $(i-1)
+        if (name in budget) { seen[name] = 1; if (v + 0 > budget[name] + 0) print name, v, "allocs/item, budget", budget[name] }
+    }
+    END { for (name in seen) if (!seen[name]) print name, "did not report allocs/item" }' <<<"$out")"
+if [ -n "$bad" ]; then
+    echo "alloc gate FAILED — server ingest over its allocation budget:" >&2
+    echo "$bad" >&2
+    exit 1
+fi
+echo "alloc gate OK: server ingest within its allocs/item budget ($budgets)"
