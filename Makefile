@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify chaos chaos-e2e lint bench bench-e2e fuzz cluster-smoke experiments figures examples clean
+.PHONY: all build test race verify chaos chaos-e2e lint bench bench-e2e fuzz cluster-smoke experiments figures examples loc clean
 
 all: build test
 
@@ -104,6 +104,11 @@ examples:
 	$(GO) run ./examples/monitor
 	$(GO) run ./examples/router
 	$(GO) run ./examples/webserver
+
+# Non-test Go lines (bench/ excluded) and exported symbols per package:
+# the size report every CHANGES.md entry quotes before and after.
+loc:
+	@bash scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -21,7 +21,7 @@ import (
 // the average to stay at zero. A small epsilon per run (not per item)
 // absorbs one-off runtime internals such as timer plumbing.
 
-func allocSteadyPair(t *testing.T) (*Runtime, *Pair[int]) {
+func allocSteadyPair(t *testing.T, opts ...PairOption) (*Runtime, *Pair[int]) {
 	t.Helper()
 	rt, err := New(
 		WithSlotSize(5*time.Millisecond),
@@ -31,7 +31,7 @@ func allocSteadyPair(t *testing.T) (*Runtime, *Pair[int]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := Open(rt, Batch(func([]int) {}))
+	pair, err := Open(rt, Batch(func([]int) {}), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +50,29 @@ func TestPutSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race job")
 	}
-	rt, pair := allocSteadyPair(t)
-	defer rt.Close()
-	defer pair.Close()
+	// Both builds of the queue: the producer lock must not cost an
+	// allocation either.
+	for _, tc := range []struct {
+		name string
+		opts []PairOption
+	}{{"SingleProducer", nil}, {"ConcurrentProducers", []PairOption{ConcurrentProducers()}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, pair := allocSteadyPair(t, tc.opts...)
+			defer rt.Close()
+			defer pair.Close()
 
-	const perRun = 1024
-	avg := testing.AllocsPerRun(20, func() {
-		for i := 0; i < perRun; i++ {
-			for pair.Put(i) != nil {
-				time.Sleep(time.Microsecond)
+			const perRun = 1024
+			avg := testing.AllocsPerRun(20, func() {
+				for i := 0; i < perRun; i++ {
+					for pair.Put(i) != nil {
+						time.Sleep(time.Microsecond)
+					}
+				}
+			})
+			if avg > 1 {
+				t.Fatalf("Put steady state: %.2f allocs per %d items, want ~0", avg, perRun)
 			}
-		}
-	})
-	if avg > 1 {
-		t.Fatalf("Put steady state: %.2f allocs per %d items, want ~0", avg, perRun)
+		})
 	}
 }
 

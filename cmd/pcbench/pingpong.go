@@ -14,10 +14,8 @@ import (
 // them mid-run) stream items through one ring.SPSC, measuring the raw
 // per-item cost of each queue recipe with no Pair machinery on top.
 //
-//   - eager:      publish the index on every push — the textbook SPSC,
-//     one cache-line transfer per item.
-//   - lazy64:     lazy publication every 64 pushes (NewSPSCLazy), so
-//     the tail line bounces once per stride instead of per item.
+//   - eager:      Push, publishing the index on every item — the
+//     textbook SPSC, one cache-line transfer per item.
 //   - multipush:  PushBatch in chunks of 64 — write combining on the
 //     slot copies and a single index publication per chunk.
 //
@@ -38,7 +36,6 @@ func pingPongTables() exp.Table {
 		bench func(b *testing.B)
 	}{
 		{"eager", func(b *testing.B) { pingPongByItem(b, ring.NewSPSC[int](pingCap)) }},
-		{"lazy64", func(b *testing.B) { pingPongByItem(b, ring.NewSPSCLazy[int](pingCap, pingChunk)) }},
 		{"multipush", func(b *testing.B) { pingPongByChunk(b, ring.NewSPSC[int](pingCap)) }},
 	}
 	for _, v := range variants {
@@ -96,12 +93,10 @@ func pingPongByItem(b *testing.B, q *ring.SPSC[int]) {
 			runtime.Gosched()
 		}
 	}
-	q.Flush()
 	b.StopTimer()
 	for !q.Push(pingStop) {
 		runtime.Gosched()
 	}
-	q.Flush()
 	<-done
 }
 
@@ -127,6 +122,5 @@ func pingPongByChunk(b *testing.B, q *ring.SPSC[int]) {
 	for !q.Push(pingStop) {
 		runtime.Gosched()
 	}
-	q.Flush()
 	<-done
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,7 +35,7 @@ func startClusterDaemon(t *testing.T, nodeID, seed string, extraArgs ...string) 
 	}
 	sig = make(chan os.Signal, 1)
 	exit = make(chan int, 1)
-	var logs bytes.Buffer
+	var logs lockedBuffer
 	go func() {
 		exit <- run(args, sig, io.Discard, &logs)
 	}()

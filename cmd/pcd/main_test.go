@@ -9,10 +9,31 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 )
+
+// lockedBuffer is the daemon's stderr in these tests: the server's and
+// the cluster node's Logf goroutines write it concurrently while the
+// test reads it to report a failure.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // startDaemon runs the daemon in-process and returns its base URL, the
 // injected signal channel, and the exit-code channel.
@@ -29,7 +50,7 @@ func startDaemon(t *testing.T, extraArgs ...string) (string, chan os.Signal, cha
 	}, extraArgs...)
 	sig := make(chan os.Signal, 1)
 	exit := make(chan int, 1)
-	var logs bytes.Buffer
+	var logs lockedBuffer
 	go func() {
 		exit <- run(args, sig, io.Discard, &logs)
 	}()

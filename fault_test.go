@@ -155,7 +155,9 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !waitFor(t, 10*time.Second, func() bool { return pair.Quarantined() }) {
+	// The open state lasts one 10 ms backoff, which a loaded machine can
+	// sleep through: wait on the counter, not on the flag.
+	if !waitFor(t, 10*time.Second, func() bool { return pair.Stats().Quarantines == 1 }) {
 		t.Fatal("breaker never opened")
 	}
 	// The fourth invocation (first probe redelivery) succeeds: the

@@ -125,12 +125,14 @@ func Redelivery(n int) PairOption {
 
 // ConcurrentProducers declares that multiple goroutines will call Put
 // or PutBatch on this pair concurrently. By default a pair assumes the
-// paper's contract — exactly one logical producer — and uses a
-// wait-free single-producer queue whose steady-state Put is
-// allocation-free and takes no lock; with this option the queue is
-// mutex-guarded instead, trading that speed for safety under
-// concurrent producers (as e.g. a server fanning one stream across
-// connection goroutines needs).
+// paper's contract — exactly one logical producer — and its wait-free
+// queue takes no lock anywhere. With this option the queue is the same
+// one, but Put and PutBatch serialise on a producer lock (one
+// acquisition per call, so a batch pays it once), which is what e.g. a
+// server fanning one stream across connection goroutines needs. The
+// consumer never takes that lock: drains stay wait-free and never wait
+// behind a producer. Steady-state Put stays allocation-free either
+// way.
 func ConcurrentProducers() PairOption {
 	return func(c *pairConfig) { c.concurrent = true }
 }
@@ -205,10 +207,10 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 	st.reservedSlot = -1
 	st.drainFault = p.drainFault
 	if rt.obs != nil && rt.obs.hist {
-		st.obs = newPairObs(o.buffer)
+		st.obs = newPairObs(o.buffer, pc.concurrent)
 		// Same once-for-the-pair's-life sizing for the latency-stamp
 		// scratch: PopBatch returns at most the ring's capacity.
-		p.stampScratch = make([]int64, 0, st.obs.stamps.Cap())
+		p.stampScratch = make([]int64, st.obs.stamps.Cap())
 	}
 	p.st = st
 	rt.trackPair(st)

@@ -210,8 +210,10 @@ func (n *Node) Close() error {
 	for _, pc := range n.hbConns {
 		conns = append(conns, pc)
 	}
-	n.conns = make(map[string]*peerConn)
-	n.hbConns = make(map[string]*peerConn)
+	// Emptied in place: connFor's callers read the map fields without
+	// connMu, so the fields themselves are never reassigned.
+	clear(n.conns)
+	clear(n.hbConns)
 	n.connMu.Unlock()
 	for _, pc := range conns {
 		pc.mu.Lock()

@@ -6,13 +6,12 @@ import "testing"
 // no background noise — so these assert exactly zero, not "close to".
 
 func TestSPSCOpsAllocFree(t *testing.T) {
-	q := NewSPSCLazy[int](256, 16)
+	q := NewSPSC[int](256)
 	buf := make([]int, 64)
 	if avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 200; i++ {
 			q.Push(i)
 		}
-		q.Flush()
 		for q.PopBatch(buf) > 0 {
 		}
 		q.PushBatch(buf)

@@ -131,40 +131,87 @@ func TestSPSCConcurrent(t *testing.T) {
 	}
 }
 
-func TestBufferBasic(t *testing.T) {
-	b := NewBuffer[string](2)
-	if !b.Push("a") || !b.Push("b") {
-		t.Fatal("pushes failed")
+func TestSPSCPushBatchMultipush(t *testing.T) {
+	q := NewSPSC[int](8)
+	// Offset the indices so the batch wraps the slot array.
+	for i := 0; i < 5; i++ {
+		q.Push(-1)
 	}
-	if !b.Full() {
-		t.Fatal("should be full")
+	for i := 0; i < 5; i++ {
+		q.Pop()
 	}
-	if b.Push("c") {
-		t.Fatal("overflow push should fail")
+	batch := []int{0, 1, 2, 3, 4, 5, 6}
+	if n := q.PushBatch(batch); n != 7 {
+		t.Fatalf("PushBatch = %d, want 7", n)
 	}
-	v, ok := b.Pop()
-	if !ok || v != "a" {
-		t.Fatalf("Pop = %q,%v", v, ok)
+	// One publication for the whole batch: all visible immediately.
+	if got := q.Len(); got != 7 {
+		t.Fatalf("Len = %d, want 7", got)
 	}
-	drained := b.Drain(nil)
-	if len(drained) != 1 || drained[0] != "b" {
-		t.Fatalf("Drain = %v", drained)
+	dst := make([]int, 7)
+	if n := q.PopBatch(dst); n != 7 {
+		t.Fatalf("PopBatch = %d, want 7", n)
 	}
-	if b.Len() != 0 {
-		t.Fatal("should be empty after drain")
-	}
-	if _, ok := b.Pop(); ok {
-		t.Fatal("empty pop should fail")
+	for i, v := range dst {
+		if v != i {
+			t.Fatalf("dst[%d] = %d", i, v)
+		}
 	}
 }
 
-func TestBufferInvalidCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+func TestSPSCPushBatchPartialFit(t *testing.T) {
+	q := NewSPSC[int](4)
+	batch := []int{0, 1, 2, 3, 4, 5}
+	if n := q.PushBatch(batch); n != 4 {
+		t.Fatalf("PushBatch = %d, want capacity-limited 4", n)
+	}
+	if n := q.PushBatch(batch); n != 0 {
+		t.Fatalf("PushBatch on full = %d, want 0", n)
+	}
+}
+
+// TestPropertySPSCFIFO: a real producer goroutine pushes a random
+// sequence through a ring of random capacity, mixing Push with
+// PushBatch chunks of a random size, while a real consumer pops
+// concurrently; the consumer must observe exactly the pushed sequence,
+// in order.
+func TestPropertySPSCFIFO(t *testing.T) {
+	f := func(capSeed, chunkSeed uint8, items []int32) bool {
+		q := NewSPSC[int32](int(capSeed%63) + 2)
+		chunk := int(chunkSeed%17) + 1
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < len(items); {
+				var n int
+				if i%2 == 0 {
+					n = q.PushBatch(items[i:min(i+chunk, len(items))])
+				} else if q.Push(items[i]) {
+					n = 1
+				}
+				if n == 0 {
+					runtime.Gosched()
+				}
+				i += n
+			}
+		}()
+		ok := true
+		for n := 0; n < len(items); {
+			v, got := q.Pop()
+			if !got {
+				runtime.Gosched()
+				continue
+			}
+			ok = ok && v == items[n]
+			n++
 		}
-	}()
-	NewBuffer[int](-1)
+		wg.Wait()
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Property: SPSC behaves exactly like a bounded FIFO reference model
@@ -224,28 +271,64 @@ func TestSegmentPoolInvalid(t *testing.T) {
 	NewSegmentPool[int](0, 8)
 }
 
+// checkPoolBooks asserts the arena invariant while nobody is pushing or
+// popping: every segment of p is in exactly one place — free in the
+// pool, linked into one queue's chain (consumer's segment through
+// producer's), or waiting in one queue's recycle ring.
+func checkPoolBooks[T any](t *testing.T, p *SegmentPool[T], queues ...*Segmented[T]) {
+	t.Helper()
+	seen := make(map[*Seg[T]]string, p.Total())
+	note := func(seg *Seg[T], where string) {
+		t.Helper()
+		if prev, dup := seen[seg]; dup {
+			t.Fatalf("segment %p is both %s and %s", seg, prev, where)
+		}
+		seen[seg] = where
+	}
+	for _, seg := range p.free {
+		note(seg, "free")
+	}
+	for _, q := range queues {
+		for seg := q.u.phead; seg != nil; seg = seg.next.Load() {
+			note(seg, "linked")
+		}
+		r := q.u.recycle
+		for i := r.head.Load(); i != r.tail.Load(); i++ {
+			note(r.slots[i&r.mask], "recycled")
+		}
+	}
+	if len(seen) != p.Total() {
+		t.Fatalf("%d of %d segments accounted for (%d free)", len(seen), p.Total(), p.FreeSegments())
+	}
+}
+
 func TestSegmentedFIFO(t *testing.T) {
 	p := NewSegmentPool[int](8, 4)
 	q := NewSegmented(p, 20)
-	for i := 0; i < 20; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d failed", i)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			if !q.Push(i) {
+				t.Fatalf("round %d: push %d failed", round, i)
+			}
 		}
-	}
-	if q.Push(99) {
-		t.Fatal("push beyond quota should fail")
-	}
-	if q.Len() != 20 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	for i := 0; i < 20; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = %d,%v", i, v, ok)
+		if q.Push(99) {
+			t.Fatal("push beyond quota should fail")
 		}
+		if q.Len() != 20 {
+			t.Fatalf("Len = %d", q.Len())
+		}
+		for i := 0; i < 20; i++ {
+			v, ok := q.Pop()
+			if !ok || v != i {
+				t.Fatalf("round %d: pop %d = %d,%v", round, i, v, ok)
+			}
+		}
+		checkPoolBooks(t, p, q)
 	}
-	if p.FreeSegments() != 8 {
-		t.Fatalf("segments leaked: %d free", p.FreeSegments())
+	// 20 items need at most 6 segments of 4; later rounds refill from
+	// the queue's recycle ring and take no more from the pool.
+	if free := p.FreeSegments(); free < 2 {
+		t.Fatalf("queue took %d segments for 20 items", p.Total()-free)
 	}
 }
 
@@ -279,22 +362,35 @@ func TestSegmentedQuota(t *testing.T) {
 }
 
 func TestSegmentedPoolExhaustion(t *testing.T) {
-	p := NewSegmentPool[int](2, 2)
-	a := NewSegmented(p, 100)
+	p := NewSegmentPool[int](4, 2)
+	a := NewSegmented(p, 100) // each queue claims its first segment here
 	b := NewSegmented(p, 100)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		if !a.Push(i) {
 			t.Fatalf("a.Push %d failed", i)
 		}
 	}
-	if b.Push(0) {
+	if a.Push(6) {
+		t.Fatal("pool exhausted: a should fail below its quota")
+	}
+	if !b.Push(0) || !b.Push(1) {
+		t.Fatal("b should fill the segment it holds")
+	}
+	if b.Push(2) {
 		t.Fatal("pool exhausted: b should fail")
 	}
-	// Draining a frees segments for b.
-	a.DrainTo(nil)
-	if !b.Push(0) {
-		t.Fatal("freed segment should let b grow")
+	// A drained queue keeps its segments to refill from, so a can push
+	// again and b still cannot grow.
+	if got := a.DrainTo(nil); len(got) != 6 {
+		t.Fatalf("drained %d, want 6", len(got))
 	}
+	if !a.Push(6) {
+		t.Fatal("a should refill from its own drained segments")
+	}
+	if b.Push(2) {
+		t.Fatal("a's drained segments are not b's to take")
+	}
+	checkPoolBooks(t, p, a, b)
 }
 
 func TestSegmentedDrainTo(t *testing.T) {
@@ -312,9 +408,13 @@ func TestSegmentedDrainTo(t *testing.T) {
 			t.Fatalf("out = %v", out)
 		}
 	}
-	if q.Len() != 0 || p.FreeSegments() != 8 {
-		t.Fatal("drain should empty queue and release segments")
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after drain", q.Len())
 	}
+	if out = q.DrainTo(out[:0]); len(out) != 0 {
+		t.Fatalf("second drain returned %v", out)
+	}
+	checkPoolBooks(t, p, q)
 }
 
 func TestSegmentedNegativeQuotaPanics(t *testing.T) {
@@ -327,8 +427,8 @@ func TestSegmentedNegativeQuotaPanics(t *testing.T) {
 	NewSegmented(p, -1)
 }
 
-// Property: Segmented matches a quota-bounded FIFO model, and the pool
-// never leaks segments across arbitrary op sequences.
+// Property: Segmented matches a quota-bounded FIFO model, and the
+// arena's books balance across arbitrary op sequences.
 func TestPropertySegmentedMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
@@ -346,7 +446,7 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 					if len(model) > quota {
 						t.Fatalf("trial %d: quota exceeded", trial)
 					}
-				} else if len(model) < quota && p.FreeSegments() > 0 && q.Len()%p.SegSize() != 0 {
+				} else if starved := q.u.pw == p.SegSize() && q.u.recycle.Len() == 0 && p.FreeSegments() == 0; len(model) < quota && !starved {
 					// Failure is only legitimate at quota or when a new
 					// segment was needed and unavailable.
 					t.Fatalf("trial %d: spurious push failure (len=%d quota=%d free=%d)",
@@ -372,10 +472,10 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 				t.Fatalf("trial %d: len mismatch %d vs %d", trial, q.Len(), len(model))
 			}
 		}
-		q.DrainTo(nil)
-		if p.FreeSegments() != p.Total() {
-			t.Fatalf("trial %d: leaked segments", trial)
+		if got := q.DrainTo(nil); len(got) != len(model) {
+			t.Fatalf("trial %d: final drain %d items, model holds %d", trial, len(got), len(model))
 		}
+		checkPoolBooks(t, p, q)
 	}
 }
 

@@ -7,24 +7,25 @@ import (
 )
 
 // Seg is one pool segment: a fixed-size slot array plus the intrusive
-// link and cursors the queues built on the pool need. Nodes are
-// preallocated by the pool together with their backing storage, so
-// acquiring a segment never allocates — the arena hands back the same
-// headers it was built with, forever. head/tail are the Segmented
-// cursors (mutex mode); Unbounded uses its own private cursors and only
-// touches next.
+// link Unbounded chains segments with. Nodes are preallocated by the
+// pool together with their backing storage, so acquiring a segment
+// never allocates — the arena hands back the same headers it was built
+// with, forever. A segment carries no cursors: the queue holding it
+// keeps its own read and write positions.
 type Seg[T any] struct {
 	slots []T
-	head  int
-	tail  int
 	next  atomic.Pointer[Seg[T]]
 }
 
-// SegmentPool is a preallocated arena of fixed-size segments shared by
-// a set of Segmented/Unbounded queues. It realizes the paper's global
-// buffer Bg: "a preallocated buffer of size Bg = B0 × M" whose walls
-// between consumer buffers are elastic (§V-C, Fig. 8). Queues grow by
-// taking segments from the pool and shrink by returning them; neither
+// SegmentPool is a preallocated arena of fixed-size segments that
+// Unbounded queues draw from: the physical backing of the paper's
+// dynamic buffer, which grows and shrinks as "linked lists, not actual
+// contiguous resizing" (§V-C, Fig. 8). A queue grows by taking a
+// segment from the pool; a segment it has drained goes back to that
+// queue's own recycle ring, not to the pool, so a queue keeps the
+// segments it once needed. The runtime therefore gives every pair a
+// private pool sized to the most it may ever be lent, and the elastic
+// walls between consumers are internal/buffer's item quotas. Neither
 // the pool nor its segment headers allocate after construction.
 type SegmentPool[T any] struct {
 	mu      sync.Mutex
@@ -76,7 +77,6 @@ func (p *SegmentPool[T]) acquire() (*Seg[T], bool) {
 	}
 	seg := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	seg.head, seg.tail = 0, 0
 	seg.next.Store(nil)
 	return seg, true
 }
@@ -91,181 +91,78 @@ func (p *SegmentPool[T]) release(seg *Seg[T]) {
 	p.free = append(p.free, seg)
 }
 
-// Segmented is an elastic FIFO queue backed by pool segments. Its
-// capacity is governed by a quota (in items): Push fails once the queue
-// holds quota items, or when the quota demands a segment the pool
-// cannot supply.
+// Segmented is the elastic FIFO the live runtime's pairs buffer in: an
+// Unbounded behind an optional producer lock. There is one algorithm
+// and two builds of it:
 //
-// Two builds exist. NewSegmented guards the queue with a mutex and is
-// safe for any number of concurrent producers. NewSegmentedSP is the
-// single-producer fast path: it delegates to an Unbounded list-of-rings
-// so steady-state Push/PushBatch/Pop/DrainTo are wait-free and
-// allocation-free (exactly one goroutine may push and one may pop at a
-// time; Len/Quota/SetQuota stay safe from anywhere).
+//   - NewSegmentedSP: no lock. Exactly one goroutine may push at a time,
+//     and Push/PushBatch are wait-free.
+//   - NewSegmented: Push and PushBatch take a mutex, so any number of
+//     goroutines may push; the lock makes them a single writer by
+//     construction.
+//
+// The lock covers the producer side only. Pop and DrainTo still need
+// exactly one consumer at a time (the pair's drain lock provides it)
+// and never take the mutex, so in both builds the consumer is
+// wait-free and a drain never waits behind a producer. Len, Quota and
+// SetQuota are safe from any goroutine.
 type Segmented[T any] struct {
-	sp *Unbounded[T] // non-nil: single-producer mode; mu and list unused
-
-	mu    sync.Mutex
-	pool  *SegmentPool[T]
-	head  *Seg[T]
-	tail  *Seg[T]
-	size  int
-	quota int
+	u      *Unbounded[T]
+	locked bool
+	mu     sync.Mutex // serialises producers when locked
 }
 
 // NewSegmented returns an elastic queue with the given initial item
-// quota drawing from pool, safe for concurrent producers (a mutex
-// serializes every operation).
+// quota drawing from pool, safe for concurrent producers.
 func NewSegmented[T any](pool *SegmentPool[T], quota int) *Segmented[T] {
-	if quota < 0 {
-		panic(fmt.Sprintf("ring: negative quota %d", quota))
-	}
-	return &Segmented[T]{pool: pool, quota: quota}
+	return &Segmented[T]{u: NewUnbounded(pool, quota), locked: true}
 }
 
-// NewSegmentedSP returns an elastic queue in single-producer mode: the
-// mutex is dropped and every queue operation delegates to a wait-free
-// Unbounded. The caller must guarantee at most one pushing goroutine
-// and at most one popping goroutine at a time.
+// NewSegmentedSP returns the lock-free single-producer build. The
+// caller must guarantee at most one pushing goroutine at a time.
 func NewSegmentedSP[T any](pool *SegmentPool[T], quota int) *Segmented[T] {
-	if quota < 0 {
-		panic(fmt.Sprintf("ring: negative quota %d", quota))
-	}
-	return &Segmented[T]{sp: NewUnbounded(pool, quota)}
-}
-
-// Len returns the number of buffered items.
-func (q *Segmented[T]) Len() int {
-	if q.sp != nil {
-		return q.sp.Len()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
-// Quota returns the current item quota.
-func (q *Segmented[T]) Quota() int {
-	if q.sp != nil {
-		return q.sp.Quota()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.quota
-}
-
-// SetQuota adjusts the item quota. Shrinking below the current length
-// is allowed: no items are dropped, but pushes fail until the queue
-// drains below the new quota (matching the paper's downsizing, which
-// only constrains future buffering).
-func (q *Segmented[T]) SetQuota(quota int) {
-	if q.sp != nil {
-		q.sp.SetQuota(quota)
-		return
-	}
-	if quota < 0 {
-		quota = 0
-	}
-	q.mu.Lock()
-	q.quota = quota
-	q.mu.Unlock()
+	return &Segmented[T]{u: NewUnbounded(pool, quota)}
 }
 
 // Push appends v, returning false when the quota is reached or the pool
 // has no segment to back the growth.
 func (q *Segmented[T]) Push(v T) bool {
-	if q.sp != nil {
-		return q.sp.Push(v)
+	if !q.locked {
+		return q.u.Push(v)
 	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pushLocked(v)
+	ok := q.u.Push(v)
+	q.mu.Unlock()
+	return ok
 }
 
 // PushBatch appends items in order, stopping at the quota (or when the
-// pool runs dry) and returning how many were accepted. It is the bulk
-// counterpart of Push: one quota negotiation and (in single-producer
-// mode) one index publication for the whole batch instead of one per
-// item.
+// pool runs dry) and returning how many were accepted: one quota
+// negotiation, one index publication and at most one lock acquisition
+// for the whole batch.
 func (q *Segmented[T]) PushBatch(items []T) int {
-	if q.sp != nil {
-		return q.sp.PushBatch(items)
+	if !q.locked {
+		return q.u.PushBatch(items)
 	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, v := range items {
-		if !q.pushLocked(v) {
-			return i
-		}
-	}
-	return len(items)
+	n := q.u.PushBatch(items)
+	q.mu.Unlock()
+	return n
 }
 
-func (q *Segmented[T]) pushLocked(v T) bool {
-	if q.size >= q.quota {
-		return false
-	}
-	if q.tail == nil || q.tail.tail == len(q.tail.slots) {
-		seg, ok := q.pool.acquire()
-		if !ok {
-			return false
-		}
-		if q.tail == nil {
-			q.head, q.tail = seg, seg
-		} else {
-			q.tail.next.Store(seg)
-			q.tail = seg
-		}
-	}
-	q.tail.slots[q.tail.tail] = v
-	q.tail.tail++
-	q.size++
-	return true
-}
+// Len returns the number of buffered items.
+func (q *Segmented[T]) Len() int { return q.u.Len() }
 
-// Pop removes the oldest item, releasing emptied segments back to the
-// pool immediately so other queues can grow.
-func (q *Segmented[T]) Pop() (v T, ok bool) {
-	if q.sp != nil {
-		return q.sp.Pop()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked()
-}
+// Quota returns the current item quota.
+func (q *Segmented[T]) Quota() int { return q.u.Quota() }
 
-func (q *Segmented[T]) popLocked() (v T, ok bool) {
-	if q.size == 0 {
-		return v, false
-	}
-	seg := q.head
-	v = seg.slots[seg.head]
-	var zero T
-	seg.slots[seg.head] = zero
-	seg.head++
-	q.size--
-	if seg.head == seg.tail {
-		// Segment drained: unlink and return to pool.
-		q.head = seg.next.Load()
-		if q.head == nil {
-			q.tail = nil
-		}
-		q.pool.release(seg)
-	}
-	return v, true
-}
+// SetQuota adjusts the item quota (see Unbounded.SetQuota: a shrink
+// below the current length drops nothing).
+func (q *Segmented[T]) SetQuota(quota int) { q.u.SetQuota(quota) }
+
+// Pop removes the oldest item. Consumer only; never takes the lock.
+func (q *Segmented[T]) Pop() (v T, ok bool) { return q.u.Pop() }
 
 // DrainTo pops every buffered item into dst (appending) and returns the
-// extended slice. This is the batch-processing drain.
-func (q *Segmented[T]) DrainTo(dst []T) []T {
-	if q.sp != nil {
-		return q.sp.DrainTo(dst)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.size > 0 {
-		v, _ := q.popLocked()
-		dst = append(dst, v)
-	}
-	return dst
-}
+// extended slice. Consumer only; never takes the lock.
+func (q *Segmented[T]) DrainTo(dst []T) []T { return q.u.DrainTo(dst) }

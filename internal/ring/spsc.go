@@ -1,20 +1,19 @@
 // Package ring provides the queue structures shared by the simulator
-// and the live runtime:
+// and the live runtime — three types, one per job:
 //
 //   - SPSC: a lock-free single-producer/single-consumer bounded ring
 //     with cache-line-separated indices, cached remote-index snapshots
-//     and optional lazy index publication (Torquati's recipe,
-//     PAPERS.md) — the fast path between one producer and its consumer
-//     (the paper's pairing is strictly 1:1, §I).
+//     and a multipush PushBatch (Torquati's recipe, PAPERS.md) — the
+//     fast path between one producer and its consumer (the paper's
+//     pairing is strictly 1:1, §I).
 //   - Unbounded: a wait-free SPSC list-of-rings over a SegmentPool
-//     (Torquati's uSPSC) carrying the paper's elastic item quota.
-//   - Buffer: a plain, single-goroutine circular buffer used for
-//     bookkeeping inside the simulator.
-//   - Segmented: an elastic queue built from pool segments,
-//     implementing the paper's "linked lists, not actual contiguous
-//     resizing" dynamic buffer (§V-C, Fig. 8) for the live runtime —
-//     mutex-guarded for concurrent producers, or delegating to
-//     Unbounded on the single-producer fast path.
+//     (Torquati's uSPSC) carrying the paper's elastic item quota: its
+//     dynamic buffer (§V-C, Fig. 8). Segmented is the handle the live
+//     runtime holds on it: the same queue with or without a mutex
+//     around the producer side, for pairs that do or do not share
+//     their producer side between goroutines.
+//   - Queue: a plain slice-backed FIFO for the simulator's
+//     single-threaded bookkeeping.
 package ring
 
 import (
@@ -23,32 +22,24 @@ import (
 )
 
 // SPSC is a bounded lock-free single-producer single-consumer queue.
-// Exactly one goroutine may push (Push/PushBatch/Flush) and exactly
-// one may pop (Pop/PopBatch); Len and Cap are safe from either.
+// Exactly one goroutine may push (Push/PushBatch) and exactly one may
+// pop (Pop/PopBatch); Len and Cap are safe from either.
 //
 // The layout is the cache-conscious SPSC recipe from Torquati's study
 // (PAPERS.md): head and tail are monotonically increasing counters
 // masked into a power-of-two slot array, each alone on its own
 // 64-byte line next to that side's *cached snapshot* of the other
-// index, with the cold read-only fields (mask, stride, slots) on a
-// line of their own. A steady-state Push touches no consumer-written
-// line: the producer re-reads head only when its cached snapshot
-// says the ring is full, and vice versa for Pop — so the index lines
-// change hands once per wrap, not once per item.
-//
-// Lazy publication (NewSPSCLazy) adds the second half of the recipe:
-// the producer publishes tail only every stride-th item, on
-// PushBatch, on Flush, or when the ring fills, collapsing the
-// coherence traffic of a burst of Pushes into one cache-line
-// transfer. Until publication the items are invisible to the
-// consumer (Len does not count them), so lazy rings suit spinning
-// consumers or callers that Flush at their natural kick points.
+// index, with the cold read-only fields (mask, slots) on a line of
+// their own. A steady-state Push touches no consumer-written line: the
+// producer re-reads head only when its cached snapshot says the ring
+// is full, and vice versa for Pop — so the index lines change hands
+// once per wrap, not once per item. Push publishes tail on every item;
+// a burst should go through PushBatch, which publishes once.
 type SPSC[T any] struct {
 	// Cold line: read-only after construction.
 	mask  uint64
-	pub   uint64 // publication stride; 1 = eager
 	slots []T
-	_     [24]byte
+	_     [32]byte
 
 	// Consumer line.
 	head       atomic.Uint64 // next slot to read; consumer-written
@@ -57,24 +48,14 @@ type SPSC[T any] struct {
 
 	// Producer line.
 	tail       atomic.Uint64 // published write index; producer-written
-	ptail      uint64        // private write index (ptail-tail unpublished)
-	ppub       uint64        // private mirror of tail (avoids atomic re-loads)
+	ptail      uint64        // private mirror of tail (avoids atomic re-loads)
 	cachedHead uint64        // producer's snapshot of head
-	_          [32]byte
+	_          [40]byte
 }
 
-// NewSPSC returns an eagerly-publishing ring with capacity rounded up
-// to the next power of two (minimum 2). It panics on non-positive
-// capacities.
+// NewSPSC returns a ring with capacity rounded up to the next power of
+// two (minimum 2). It panics on non-positive capacities.
 func NewSPSC[T any](capacity int) *SPSC[T] {
-	return NewSPSCLazy[T](capacity, 1)
-}
-
-// NewSPSCLazy returns a ring that publishes the producer index only
-// every stride-th push (and on PushBatch, Flush, or a full ring).
-// stride is clamped to [1, capacity]; stride 1 is the eager NewSPSC
-// behaviour. It panics on non-positive capacities.
-func NewSPSCLazy[T any](capacity, stride int) *SPSC[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("ring: invalid SPSC capacity %d", capacity))
 	}
@@ -82,43 +63,29 @@ func NewSPSCLazy[T any](capacity, stride int) *SPSC[T] {
 	for n < capacity {
 		n <<= 1
 	}
-	if stride < 1 {
-		stride = 1
-	}
-	if stride > n {
-		stride = n
-	}
-	return &SPSC[T]{mask: uint64(n - 1), pub: uint64(stride), slots: make([]T, n)}
+	return &SPSC[T]{mask: uint64(n - 1), slots: make([]T, n)}
 }
 
 // Cap returns the ring's capacity.
 func (q *SPSC[T]) Cap() int { return len(q.slots) }
 
-// Len returns the number of *published* buffered items. It is a
-// snapshot: with concurrent producers/consumers it may be immediately
-// stale, and on a lazy ring it excludes pushes not yet flushed.
+// Len returns the number of buffered items. It is a snapshot: with a
+// concurrent producer or consumer it may be immediately stale.
 func (q *SPSC[T]) Len() int {
 	return int(q.tail.Load() - q.head.Load())
 }
 
-// Push appends v, returning false when the ring is full. On a lazy
-// ring the item becomes visible to the consumer at the next
-// publication point (every stride-th push, Flush, or ring-full).
+// Push appends v, returning false when the ring is full.
 func (q *SPSC[T]) Push(v T) bool {
 	if q.ptail-q.cachedHead >= uint64(len(q.slots)) {
 		q.cachedHead = q.head.Load()
 		if q.ptail-q.cachedHead >= uint64(len(q.slots)) {
-			// Truly full: publish any pending items so the consumer
-			// can make room, then report the overflow.
-			q.publish()
 			return false
 		}
 	}
 	q.slots[q.ptail&q.mask] = v
 	q.ptail++
-	if q.ptail-q.ppub >= q.pub {
-		q.publish()
-	}
+	q.tail.Store(q.ptail)
 	return true
 }
 
@@ -137,7 +104,6 @@ func (q *SPSC[T]) PushBatch(items []T) int {
 		n = space
 	}
 	if n == 0 {
-		q.publish()
 		return 0
 	}
 	start := q.ptail & q.mask
@@ -146,27 +112,11 @@ func (q *SPSC[T]) PushBatch(items []T) int {
 		copy(q.slots, items[c:n])
 	}
 	q.ptail += n
-	q.publish()
+	q.tail.Store(q.ptail)
 	return int(n)
 }
 
-// Flush publishes any pushes still pending on a lazy ring. A no-op on
-// eager rings and when nothing is pending. Producer goroutine only.
-func (q *SPSC[T]) Flush() {
-	if q.ptail != q.ppub {
-		q.publish()
-	}
-}
-
-func (q *SPSC[T]) publish() {
-	if q.ptail != q.ppub {
-		q.tail.Store(q.ptail)
-		q.ppub = q.ptail
-	}
-}
-
-// Pop removes and returns the oldest published item, with ok=false
-// when empty.
+// Pop removes and returns the oldest item, with ok=false when empty.
 func (q *SPSC[T]) Pop() (v T, ok bool) {
 	head := q.head.Load()
 	if head == q.cachedTail {
@@ -182,7 +132,7 @@ func (q *SPSC[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// PopBatch pops up to len(dst) published items into dst and returns
+// PopBatch pops up to len(dst) items into dst and returns
 // the count, publishing one head advance for the whole batch —
 // batching amortizes the index update across the drain, the whole
 // point of batch processing in the paper.
@@ -208,62 +158,4 @@ func (q *SPSC[T]) PopBatch(dst []T) int {
 	}
 	q.head.Store(head + n)
 	return int(n)
-}
-
-// Buffer is a plain single-goroutine circular buffer. The simulator
-// uses it where the paper's implementations use a circular buffer but
-// no real concurrency exists (virtual time is single-threaded).
-type Buffer[T any] struct {
-	slots []T
-	head  int
-	size  int
-}
-
-// NewBuffer returns a Buffer with exactly the given capacity.
-func NewBuffer[T any](capacity int) *Buffer[T] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("ring: invalid Buffer capacity %d", capacity))
-	}
-	return &Buffer[T]{slots: make([]T, capacity)}
-}
-
-// Cap returns the capacity.
-func (b *Buffer[T]) Cap() int { return len(b.slots) }
-
-// Len returns the number of buffered items.
-func (b *Buffer[T]) Len() int { return b.size }
-
-// Full reports whether the buffer is at capacity.
-func (b *Buffer[T]) Full() bool { return b.size == len(b.slots) }
-
-// Push appends v, returning false when full.
-func (b *Buffer[T]) Push(v T) bool {
-	if b.size == len(b.slots) {
-		return false
-	}
-	b.slots[(b.head+b.size)%len(b.slots)] = v
-	b.size++
-	return true
-}
-
-// Pop removes the oldest item.
-func (b *Buffer[T]) Pop() (v T, ok bool) {
-	if b.size == 0 {
-		return v, false
-	}
-	v = b.slots[b.head]
-	var zero T
-	b.slots[b.head] = zero
-	b.head = (b.head + 1) % len(b.slots)
-	b.size--
-	return v, true
-}
-
-// Drain removes all items, appending them to dst and returning it.
-func (b *Buffer[T]) Drain(dst []T) []T {
-	for b.size > 0 {
-		v, _ := b.Pop()
-		dst = append(dst, v)
-	}
-	return dst
 }

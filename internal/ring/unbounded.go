@@ -77,9 +77,12 @@ func NewUnbounded[T any](pool *SegmentPool[T], quota int) *Unbounded[T] {
 
 // Len returns the number of buffered items (published pushes minus
 // published pops). Safe from any goroutine; with concurrent push/pop
-// it is a snapshot.
+// it is a snapshot. popped is read first: both counts only grow and
+// popped never passes pushed, so the difference cannot go negative (it
+// can over-count by what was popped between the two loads).
 func (u *Unbounded[T]) Len() int {
-	return int(u.pushed.Load() - u.popped.Load())
+	popped := u.popped.Load()
+	return int(u.pushed.Load() - popped)
 }
 
 // Quota returns the current item quota.

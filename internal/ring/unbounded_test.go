@@ -1,8 +1,10 @@
 package ring
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -254,4 +256,145 @@ func TestPropertySegmentedSPMatchesModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPropertySegmentedConcurrentProducers drives the multi-producer
+// build with real goroutines: several producers mixing Push and
+// PushBatch, one consumer mixing Pop and DrainTo, and a third party
+// churning the quota over [0, maxQuota], so shrinks below the current
+// length happen all the time. Per-producer order must be preserved,
+// nothing lost or duplicated, the consumer must never see Len outside
+// [0, maxQuota], and while the quota is held at 0 (Len ≥ quota whatever
+// the consumer does) no push may be admitted.
+func TestPropertySegmentedConcurrentProducers(t *testing.T) {
+	const (
+		producers = 4
+		perProd   = 20000
+		maxQuota  = 96
+		segSize   = 8
+	)
+	pool := NewSegmentPool[uint32](2*maxQuota/segSize, segSize)
+	q := NewSegmented(pool, maxQuota)
+	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	// attempts[p] counts producer p's completed push calls; done[p] is
+	// set when it has pushed everything.
+	var attempts [producers]atomic.Uint64
+	var done [producers]atomic.Bool
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			defer done[p].Store(true)
+			item := func(seq int) uint32 { return uint32(p)<<24 | uint32(seq) }
+			batch := make([]uint32, 0, 7)
+			for seq := 0; seq < perProd && !stopped(); {
+				n := 0
+				if seq%3 == 0 {
+					batch = batch[:0]
+					for i := seq; i < min(seq+1+seq%7, perProd); i++ {
+						batch = append(batch, item(i))
+					}
+					n = q.PushBatch(batch)
+				} else if q.Push(item(seq)) {
+					n = 1
+				}
+				attempts[p].Add(1)
+				if n == 0 {
+					runtime.Gosched()
+				}
+				seq += n
+			}
+		}(p)
+	}
+
+	// everyoneTriedTwice returns once each producer still running has
+	// completed two more push calls: the second of them began after
+	// this function was entered.
+	everyoneTriedTwice := func() {
+		for p := range attempts {
+			for base := attempts[p].Load(); attempts[p].Load() < base+2 && !done[p].Load() && !stopped(); {
+				runtime.Gosched()
+			}
+		}
+	}
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; !stopped(); i++ {
+			q.SetQuota(rng.Intn(maxQuota + 1))
+			if n := q.Len(); n < 0 {
+				t.Errorf("Len = %d from a third goroutine", n)
+				return
+			}
+			if i%64 == 0 {
+				q.SetQuota(0)
+				everyoneTriedTwice() // every push call from here on saw quota 0
+				before := q.u.pushed.Load()
+				everyoneTriedTwice()
+				if after := q.u.pushed.Load(); after != before {
+					t.Errorf("%d items admitted while the quota was 0", after-before)
+					return
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	func() {
+		defer churn.Wait()
+		defer wg.Wait()
+		defer close(stop)
+		var next [producers]uint32
+		got := 0
+		check := func(v uint32) {
+			p, seq := v>>24, v&(1<<24-1)
+			if seq != next[p] {
+				t.Fatalf("producer %d: got item %d, want %d", p, seq, next[p])
+			}
+			next[p]++
+			got++
+		}
+		var buf []uint32
+		for round := 0; got < producers*perProd; round++ {
+			if n := q.Len(); n < 0 || n > maxQuota {
+				t.Fatalf("consumer saw Len = %d, quota never above %d", n, maxQuota)
+			}
+			before := got
+			if round%2 == 0 {
+				if v, ok := q.Pop(); ok {
+					check(v)
+				}
+			} else {
+				buf = q.DrainTo(buf[:0])
+				for _, v := range buf {
+					check(v)
+				}
+			}
+			if got == before {
+				runtime.Gosched()
+			}
+		}
+	}()
+	if t.Failed() {
+		return
+	}
+	if n := q.Len(); n != 0 {
+		t.Fatalf("Len = %d after every item was consumed", n)
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("an item was duplicated")
+	}
+	checkPoolBooks(t, pool, q)
 }

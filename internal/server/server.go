@@ -387,7 +387,7 @@ func (s *Server) openStreamLocked(key, tenantID string) (*stream, error) {
 		st.tn = s.cfg.Tenants.TenantByID(tenantID)
 	}
 	// Every stream is fed by however many connection goroutines the
-	// clients open, so the pair must keep its multi-producer queue.
+	// clients open, so the pair's producers must serialise on its lock.
 	opts = append(opts, repro.ConcurrentProducers())
 	var h repro.Handler[[]byte]
 	if s.cfg.HandlerFuncFor != nil {

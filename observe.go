@@ -2,9 +2,12 @@ package repro
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // LatencySampleEvery is the deterministic sampling stride of the
@@ -41,11 +44,40 @@ type obsState struct {
 }
 
 // pairObs is a pair's latency instrumentation: the stamp ring carrying
-// enqueue times from the producer, and the two per-pair histograms.
+// enqueue times from the producer side to the drain (consumption is
+// serialized by the pair's drain lock), and the two per-pair
+// histograms. Stamps pair with items by count, not identity, so a
+// dropped stamp only shifts which timestamp meets which item; for a
+// histogram that is harmless.
 type pairObs struct {
-	stamps *obs.StampRing
+	stamps *ring.SPSC[int64]
+	drops  atomic.Uint64 // stamps discarded on a full ring
+	// mu makes the producers of a ConcurrentProducers pair a single
+	// writer of stamps, as the queue's producer lock does for the items;
+	// a single-producer pair (locked false) never takes it. Only sampled
+	// items (1 in LatencySampleEvery) reach it.
+	locked bool
+	mu     sync.Mutex
 	wait   *obs.Histogram // enqueue → handler-start
 	done   *obs.Histogram // enqueue → handler-done
+}
+
+// stamp pushes k enqueue stamps of value now (k > 1 when one PutBatch
+// crossed several sampling boundaries). A stamp that finds the ring
+// full is dropped and counted: the item still flows, its latency just
+// goes unobserved.
+func (po *pairObs) stamp(now int64, k int) {
+	if po.locked {
+		po.mu.Lock()
+	}
+	for ; k > 0; k-- {
+		if !po.stamps.Push(now) {
+			po.drops.Add(1)
+		}
+	}
+	if po.locked {
+		po.mu.Unlock()
+	}
 }
 
 func newObsState(o options, start time.Time) *obsState {
@@ -75,7 +107,7 @@ func newObsState(o options, start time.Time) *obsState {
 // newPairObs sizes a pair's stamp ring to its buffer: at the 1-in-8
 // sampling stride, buffer/4 stamps cover twice the quota (elastic
 // lending included); anything beyond is dropped, not blocked on.
-func newPairObs(buffer int) *pairObs {
+func newPairObs(buffer int, concurrent bool) *pairObs {
 	capacity := buffer / 4
 	if capacity < 256 {
 		capacity = 256
@@ -84,7 +116,8 @@ func newPairObs(buffer int) *pairObs {
 		capacity = 1 << 16
 	}
 	return &pairObs{
-		stamps: obs.NewStampRing(capacity),
+		stamps: ring.NewSPSC[int64](capacity),
+		locked: concurrent,
 		wait:   obs.NewHistogram(),
 		done:   obs.NewHistogram(),
 	}
@@ -177,7 +210,7 @@ func (rt *Runtime) PairLatencies() []PairLatencies {
 			ID:         st.id,
 			Wait:       distOf(st.obs.wait),
 			Done:       distOf(st.obs.done),
-			StampDrops: st.obs.stamps.Drops(),
+			StampDrops: st.obs.drops.Load(),
 		}
 	}
 	return out

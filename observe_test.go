@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,4 +359,139 @@ func TestTimelineEventKinds(t *testing.T) {
 		kinds[r.Kind]++
 	}
 	t.Fatalf("timeline missing event kinds after storm: %v", kinds)
+}
+
+func TestWithTimelineValidation(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		if _, err := New(WithTimeline(capacity)); err == nil ||
+			!strings.Contains(err.Error(), "WithTimeline") {
+			t.Fatalf("New(WithTimeline(%d)) = %v, want construction error", capacity, err)
+		}
+	}
+	rt, err := New(WithTimeline(TimelineDefaultCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStampDropsWhenRingFull: a stamp that finds the ring full is
+// dropped and counted, never blocked on, and the stamps already in the
+// ring are the oldest, in order.
+func TestStampDropsWhenRingFull(t *testing.T) {
+	po := newPairObs(0, false) // the floor: 256 stamps
+	capacity := po.stamps.Cap()
+	for i := 0; i < capacity+4; i++ {
+		po.stamp(int64(i), 1)
+	}
+	po.stamp(-1, 3)
+	if got := po.drops.Load(); got != 7 {
+		t.Fatalf("drops = %d, want 7", got)
+	}
+	got := make([]int64, capacity+1)
+	if n := po.stamps.PopBatch(got); n != capacity {
+		t.Fatalf("ring held %d stamps, want %d", n, capacity)
+	}
+	for i, v := range got[:capacity] {
+		if v != int64(i) {
+			t.Fatalf("stamp %d = %d", i, v)
+		}
+	}
+}
+
+// TestLatencyStampsConcurrentProducers is the configuration pcd
+// -histograms runs: several goroutines Put and PutBatch into one
+// ConcurrentProducers pair with histograms on. The stamp ring has a
+// single-producer contract, so sampled stamp pushes must be serialised
+// like the item pushes are: unserialised, a late tail store moves the
+// tail backwards and wedges the ring. Every sampling boundary the item
+// counter crossed must end up as exactly one recorded wait or one
+// counted drop, none dropped with the ring sized for the buffer, and
+// no wait longer than the test has been running.
+func TestLatencyStampsConcurrentProducers(t *testing.T) {
+	const (
+		producers = 4
+		perProd   = 1 << 14
+		buffer    = producers * perProd
+	)
+	begin := time.Now()
+	// The quota is pinned to the buffer so no Put overflows: an overflow
+	// takes its count back, and boundaries could no longer be counted
+	// from the total.
+	rt, err := New(
+		WithSlotSize(2*time.Millisecond),
+		WithMaxLatency(20*time.Millisecond),
+		WithBuffer(buffer),
+		WithMinQuota(buffer),
+		WithHistograms(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var handled atomic.Uint64
+	pair, err := Open(rt, Batch(func(batch []int) { handled.Add(uint64(len(batch))) }), ConcurrentProducers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pair.Close()
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := make([]int, 5)
+			for sent := 0; sent < perProd; {
+				if n := min(len(batch), perProd-sent); sent%2 == 0 {
+					if _, err := pair.PutBatch(batch[:n]); err != nil {
+						t.Errorf("PutBatch: %v", err)
+						return
+					}
+					sent += n
+				} else if err := pair.Put(sent); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				} else {
+					sent++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// A stamp is pushed after its item, so a drain can take the item and
+	// leave the stamp for the next one: at most one per producer here,
+	// as no call crosses two boundaries. Feed single items until every
+	// boundary is accounted for; each drain picks up what was left.
+	put := uint64(producers * perProd)
+	var pl PairLatencies
+	for fillers := 0; ; fillers++ {
+		if !waitFor(t, 10*time.Second, func() bool { return handled.Load() == put }) {
+			t.Fatalf("handled %d of %d items", handled.Load(), put)
+		}
+		pl = rt.PairLatencies()[0]
+		if pl.Wait.Count+pl.StampDrops == put/LatencySampleEvery {
+			break
+		}
+		if fillers == 16*producers {
+			t.Fatalf("%d waits + %d drops after %d items, want %d samples",
+				pl.Wait.Count, pl.StampDrops, put, put/LatencySampleEvery)
+		}
+		if err := pair.Put(0); err != nil {
+			t.Fatal(err)
+		}
+		put++
+	}
+	if pl.StampDrops != 0 {
+		t.Fatalf("%d stamps dropped by a ring sized for the buffer", pl.StampDrops)
+	}
+	if elapsed := time.Since(begin); pl.Wait.Max > elapsed {
+		t.Fatalf("recorded a wait of %v, %v into the test", pl.Wait.Max, elapsed)
+	}
 }

@@ -9,56 +9,6 @@ import (
 	"repro/internal/ring"
 )
 
-// PairWithMaxLatency overrides the pair's response-latency bound.
-//
-// Deprecated: use MaxLatency, which rejects non-positive values with a
-// construction error instead of deferring to Open's slot-size check.
-func PairWithMaxLatency(d time.Duration) PairOption {
-	return func(c *pairConfig) { c.maxLatency = d }
-}
-
-// PairWithHandlerTimeout arms the handler watchdog.
-//
-// Deprecated: use HandlerTimeout, which rejects negative values with a
-// construction error; this shim silently clamps them to 0 (disabled)
-// as the old API did.
-func PairWithHandlerTimeout(d time.Duration) PairOption {
-	return func(c *pairConfig) {
-		if d < 0 {
-			d = 0
-		}
-		c.handlerTimeout = d
-	}
-}
-
-// PairWithBreaker sets the circuit-breaker threshold.
-//
-// Deprecated: use Breaker, which rejects negative values with a
-// construction error; this shim silently clamps them to 0 (disabled)
-// as the old API did.
-func PairWithBreaker(k int) PairOption {
-	return func(c *pairConfig) {
-		if k < 0 {
-			k = 0
-		}
-		c.breakerK = k
-	}
-}
-
-// PairWithRedelivery bounds redelivery attempts.
-//
-// Deprecated: use Redelivery, which rejects negative values with a
-// construction error; this shim silently clamps them to 0
-// (at-most-once) as the old API did.
-func PairWithRedelivery(n int) PairOption {
-	return func(c *pairConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.maxRedeliver = n
-	}
-}
-
 // Pair is one producer-consumer pair: a bounded elastic buffer feeding
 // a batch handler. By default exactly one goroutine may call
 // Put/PutBatch at a time (the paper pairs each consumer with one
@@ -92,31 +42,6 @@ type Pair[T any] struct {
 	// stay empty unless the runtime was built WithHistograms.
 	stampScratch []int64
 	retryStamps  []int64
-}
-
-// NewPair registers a consumer whose handler has nothing to report.
-//
-// Deprecated: use Open with the Batch adaptor. Unlike Open, this shim
-// keeps the old mutex-guarded queue (safe for concurrent producers, as
-// the old constructors implicitly were); callers migrating to Open
-// take on the single-producer contract unless they pass
-// ConcurrentProducers.
-func NewPair[T any](rt *Runtime, handler func(batch []T), opts ...PairOption) (*Pair[T], error) {
-	if handler == nil {
-		panic("repro: nil handler")
-	}
-	return Open(rt, Batch(handler), append([]PairOption{ConcurrentProducers()}, opts...)...)
-}
-
-// NewPairFunc registers a consumer with an error-aware handler.
-//
-// Deprecated: use Open with the Func adaptor (or a Handler directly).
-// The same concurrent-producers note as NewPair applies.
-func NewPairFunc[T any](rt *Runtime, handler func(ctx context.Context, batch []T) error, opts ...PairOption) (*Pair[T], error) {
-	if handler == nil {
-		panic("repro: nil handler")
-	}
-	return Open(rt, Func(handler), append([]PairOption{ConcurrentProducers()}, opts...)...)
 }
 
 // ID returns the pair's runtime-assigned id, the key that joins this
@@ -210,8 +135,8 @@ func (p *Pair[T]) recordWait(n int) []int64 {
 	if po == nil || n == 0 {
 		return nil
 	}
-	s := po.stamps.PopBatch(p.stampScratch[:0], n)
-	p.stampScratch = s
+	s := p.stampScratch[:min(n, len(p.stampScratch))]
+	s = s[:po.stamps.PopBatch(s)]
 	start := p.rt.obs.clock.Precise()
 	for _, t := range s {
 		po.wait.Record(start - t)
@@ -233,7 +158,7 @@ func (p *Pair[T]) recordDone(stamps []int64) {
 }
 
 // invoke hands one batch to the handler under panic recovery and, when
-// PairWithHandlerTimeout is set, a watchdog. It reports whether the
+// HandlerTimeout is set, a watchdog. It reports whether the
 // batch was handled cleanly; failures (panic, error, overrun) are
 // charged to the pair's and runtime's counters here.
 func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
@@ -348,7 +273,7 @@ func (p *Pair[T]) Put(v T) error {
 		return ErrOverflow
 	}
 	if po := p.st.obs; po != nil && n&stampSampleMask == 0 {
-		po.stamps.Push(p.rt.obs.clock.Now())
+		po.stamp(p.rt.obs.clock.Now(), 1)
 	}
 	if p.rt.closed.Load() {
 		// Runtime.Close raced in after the entry check, so its final
@@ -395,10 +320,7 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 			// One stamp per sampling-stride boundary the batch crossed.
 			k := int(end>>stampSampleShift) - int((end-uint64(n))>>stampSampleShift)
 			if k > 0 {
-				now := p.rt.obs.clock.Now()
-				for i := 0; i < k; i++ {
-					po.stamps.Push(now)
-				}
+				po.stamp(p.rt.obs.clock.Now(), k)
 			}
 		}
 		if p.rt.closed.Load() {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,5 +93,40 @@ func TestPairMixedLatencyClasses(t *testing.T) {
 	tightRec.mu.Unlock()
 	if worst > 10*30*time.Millisecond {
 		t.Fatalf("tight pair worst lag %v far exceeds its 30ms bound", worst)
+	}
+}
+
+// Invalid option arguments are construction errors, never clamped.
+func TestPairOptionValidationErrors(t *testing.T) {
+	rt, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	cases := []struct {
+		name string
+		opt  PairOption
+		want string
+	}{
+		{"MaxLatencyZero", MaxLatency(0), "MaxLatency"},
+		{"MaxLatencyNegative", MaxLatency(-time.Second), "MaxLatency"},
+		{"HandlerTimeoutNegative", HandlerTimeout(-time.Second), "HandlerTimeout"},
+		{"BreakerNegative", Breaker(-1), "Breaker"},
+		{"RedeliveryNegative", Redelivery(-1), "Redelivery"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Open(rt, Batch(func([]int) {}), tc.opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open with %s = %v, want error naming %s", tc.name, err, tc.want)
+			}
+		})
+	}
+
+	// Several invalid options are reported together, not first-only.
+	_, err = Open(rt, Batch(func([]int) {}), Breaker(-1), Redelivery(-1))
+	if err == nil || !strings.Contains(err.Error(), "Breaker") || !strings.Contains(err.Error(), "Redelivery") {
+		t.Fatalf("joined validation error = %v", err)
 	}
 }

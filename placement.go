@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -245,7 +246,10 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 	if st == nil || to == nil {
 		return false
 	}
-	moved := false
+	// Atomic: when the runtime closes mid-command runOnOwner returns
+	// without waiting for the manager goroutine, which may still be
+	// inside this closure.
+	var moved atomic.Bool
 	st.runOnOwner(func(from *manager) {
 		if from == to || st.closed.Load() {
 			return
@@ -291,9 +295,9 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 			}
 		}
 		st.mgr.Store(to)
-		moved = true
+		moved.Store(true)
 	})
-	if !moved {
+	if !moved.Load() {
 		return false
 	}
 	rt.stats.migrations.Add(1)
