@@ -35,10 +35,13 @@ func allocSteadyPair(t *testing.T, opts ...PairOption) (*Runtime, *Pair[int]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm to steady state: enough traffic that every pooled segment,
-	// the drain scratch, and the runtime's timers have been exercised.
-	for i := 0; i < 1<<14; i++ {
+	// Warm to steady state: enough traffic that every pooled segment and
+	// the runtime's timers have been exercised, and — the drain scratch
+	// grows on demand — past the first overflow, whose forced drain takes
+	// a whole quota at once: the largest drain the counted phase can see.
+	for i, overflowed := 0, false; i < 1<<14 || !overflowed; i++ {
 		for pair.Put(i) != nil {
+			overflowed = true
 			time.Sleep(time.Microsecond)
 		}
 	}

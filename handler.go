@@ -177,11 +177,6 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		rt:      rt,
 		handler: handler,
 		q:       q,
-		// The drain scratch is sized once to the physical ceiling of the
-		// pair's segment arena: DrainTo can never return more items than
-		// the pool can hold, so steady-state drains reuse this slice and
-		// never allocate.
-		scratch: make([]T, 0, pool.Capacity()),
 	}
 	planner := rt.planner
 	if pc.maxLatency != o.maxLatency {

@@ -1,24 +1,34 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 )
 
 // FuzzDecodeFrame hammers the wire-protocol decoder with arbitrary
-// bytes: it must never panic, and any frame it does accept must survive
-// a re-encode/re-decode round trip with its routing-critical fields
-// intact (the properties the node loop relies on).
+// bytes: it must never panic; any frame it accepts is within the
+// protocol bounds, has every item lying inside the input (sub-slices,
+// never copies or out-of-bounds views), and survives a re-encode /
+// re-decode round trip unchanged — the properties the node loop relies
+// on.
 func FuzzDecodeFrame(f *testing.F) {
+	enc := func(fr Frame) []byte {
+		b, err := EncodeFrame(fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	fwd := enc(Frame{Type: FrameForward, From: "n1", Key: "s1", Tenant: "acme", Items: [][]byte{[]byte("hello"), []byte("world")}})
 	seeds := [][]byte{
 		[]byte(`{"t":"hb","from":"n1","addr":"127.0.0.1:7100","http":"127.0.0.1:7070","epoch":3,"gen":2,"routes":{"s1":"n2"},"loads":{"s1":42.5}}`),
 		[]byte(`{"t":"ok","from":"n2","epoch":1,"gen":2}`),
-		[]byte(`{"t":"fwd","from":"n1","key":"s1","items":["aGVsbG8=","d29ybGQ="]}`),
-		[]byte(`{"t":"fok","from":"n2","key":"s1","accepted":2}`),
-		[]byte(`{"t":"mig","from":"n1","key":"s1","items":["AAEC"]}`),
-		[]byte(`{"t":"mok","from":"n2","key":"s1","accepted":1,"shed":0}`),
-		[]byte(`{"t":"err","from":"n2","err":"draining"}`),
-		[]byte(`{"t":"fwd","from":"n1","key":"s1","items":["!!!"]}`),
+		fwd,
+		enc(Frame{Type: FrameForwardAck, From: "n2", Key: "s1", Accepted: 2}),
+		enc(Frame{Type: FrameMigrate, From: "n1", Key: "s1", Seq: 1, Items: [][]byte{{0, 1, 2}}}),
+		enc(Frame{Type: FrameMigrateAck, From: "n2", Key: "s1", Accepted: 1}),
+		enc(Frame{Type: FrameError, From: "n2", Error: "draining"}),
+		fwd[:len(fwd)-3],                   // truncated
+		append(fwd[:len(fwd):len(fwd)], 0), // trailing byte
 		[]byte(`{"t":"zap"}`),
 		[]byte(`{`),
 		[]byte(``),
@@ -31,30 +41,30 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted frames re-encode...
-		line, err := EncodeFrame(frame)
+		if len(frame.From) > maxKeyLen || len(frame.Key) > maxKeyLen || len(frame.Tenant) > maxKeyLen ||
+			len(frame.Error) > maxErrLen || len(frame.Items) > maxItems ||
+			len(frame.Routes) > maxTableEntries || len(frame.Loads) > maxTableEntries ||
+			frame.Seq < 0 || frame.Accepted < 0 || frame.Shed < 0 || frame.Quarantined < 0 {
+			t.Fatalf("accepted frame breaks a protocol bound: %+v", frame)
+		}
+		if (frame.Type == FrameForward || frame.Type == FrameMigrate) && frame.Key == "" {
+			t.Fatalf("accepted %s frame without a key", frame.Type)
+		}
+		for i, it := range frame.Items {
+			if cap(it) != len(it) || !inside(it, data) {
+				t.Fatalf("item %d (len %d, cap %d) is not a clipped view of the input", i, len(it), cap(it))
+			}
+		}
+		again, err := EncodeFrame(frame)
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v (%+v)", err, frame)
 		}
-		// ...and decode back to the same routing-critical fields.
-		again, err := DecodeFrame(bytes.TrimSuffix(line, []byte("\n")))
+		back, err := DecodeFrame(again)
 		if err != nil {
-			t.Fatalf("re-encoded frame rejected: %v (%s)", err, line)
+			t.Fatalf("re-encoded frame rejected: %v (%q)", err, again)
 		}
-		if again.Type != frame.Type || again.From != frame.From ||
-			again.Key != frame.Key || again.Epoch != frame.Epoch ||
-			again.Gen != frame.Gen || again.Accepted != frame.Accepted ||
-			again.Shed != frame.Shed || again.Quarantined != frame.Quarantined ||
-			len(again.Items) != len(frame.Items) ||
-			len(again.Routes) != len(frame.Routes) ||
-			len(again.Loads) != len(frame.Loads) {
-			t.Fatalf("round trip changed frame: %+v → %+v", frame, again)
-		}
-		// Items an accepted fwd/mig frame carries must decode.
-		if frame.Type == FrameForward || frame.Type == FrameMigrate {
-			if _, err := DecodeItems(frame.Items); err != nil {
-				t.Fatalf("accepted %s frame has undecodable items: %v", frame.Type, err)
-			}
+		if !sameFrame(back, frame) {
+			t.Fatalf("round trip changed frame: %+v → %+v", frame, back)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,35 @@ import (
 // chunks travel back-to-back on one mutex-held connection. A variable
 // so chunk-boundary failure tests can shrink it.
 var maxChunkItems = 4096
+
+const (
+	// maxChunkBytes bounds the encoded items of one outbound frame,
+	// leaving the rest of MaxFrameBytes to the header fields (under
+	// 2 KiB at their bounds).
+	maxChunkBytes = MaxFrameBytes - 4096
+	// readBufSize sizes a connection's read buffer: a typical forwarded
+	// batch arrives in one read.
+	readBufSize = 64 << 10
+	// maxKeptBuf is the largest encode buffer a peer connection keeps
+	// between exchanges; one backlog-sized chunk must not pin 8 MiB.
+	maxKeptBuf = 1 << 20
+)
+
+// chunkEnd returns where the chunk starting at items[off] ends: at most
+// maxChunkItems items and maxChunkBytes encoded bytes, but never empty —
+// a single item always fits a frame (the server bounds request bodies
+// far below MaxFrameBytes).
+func chunkEnd(items [][]byte, off int) int {
+	end, size := off, 0
+	for end < len(items) && end-off < maxChunkItems {
+		size += itemOverhead + len(items[end])
+		if size > maxChunkBytes && end > off {
+			break
+		}
+		end++
+	}
+	return end
+}
 
 // Backend is the node-local ingest surface the cluster drives — the
 // slice of *server.Server the subsystem needs. Tests substitute fakes.
@@ -93,9 +123,10 @@ func (c Config) withDefaults() Config {
 // ordering latch: a mig frame sent under the lock precedes every later
 // fwd frame for the same stream on this connection.
 type peerConn struct {
-	mu sync.Mutex
-	c  net.Conn
-	sc *bufio.Scanner
+	mu   sync.Mutex
+	c    net.Conn
+	br   *bufio.Reader
+	wbuf []byte // encode buffer, reused across exchanges
 }
 
 // Node is one pcd process's cluster presence: it serves the wire
@@ -348,15 +379,12 @@ func (n *Node) Forward(tenant, key string, items [][]byte) (server.IngestResult,
 		return server.IngestResult{}, errors.New("cluster: forward to self")
 	}
 	var res server.IngestResult
-	for off := 0; off < len(items); off += maxChunkItems {
-		end := off + maxChunkItems
-		if end > len(items) {
-			end = len(items)
-		}
+	for off, end := 0, 0; off < len(items); off = end {
+		end = chunkEnd(items, off)
 		chunk := items[off:end]
 		resp, wrote, err := n.call(owner, Frame{
 			Type: FrameForward, From: n.cfg.NodeID,
-			Key: key, Items: EncodeItems(chunk), Tenant: tenant,
+			Key: key, Items: chunk, Tenant: tenant,
 		})
 		if err == nil && resp.Type != FrameForwardAck {
 			// The owner answered and refused: definitively not ingested.
@@ -473,33 +501,40 @@ func (n *Node) handleConn(c net.Conn) {
 		delete(n.inConns, c)
 		n.inMu.Unlock()
 	}()
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
-	for sc.Scan() {
-		f, err := DecodeFrame(sc.Bytes())
+	br := bufio.NewReaderSize(c, readBufSize)
+	var wbuf []byte
+	for {
+		f, err := readFrame(br)
 		var resp Frame
-		if err != nil {
-			resp = Frame{Type: FrameError, From: n.cfg.NodeID, Error: err.Error()}
-		} else {
+		switch {
+		case err == nil:
 			resp = n.handleFrame(f)
+		case errors.Is(err, errFrame):
+			resp = n.errorFrame(err.Error())
+		default:
+			// Surface why the inbound stream ended: a frame over
+			// MaxFrameBytes or one cut short mid-frame reads completely
+			// differently from a peer hanging up between frames, and
+			// chaos runs need to tell a partition from a protocol
+			// violation.
+			if err != io.EOF {
+				n.cfg.Logf("cluster: node %s: inbound connection from %s failed: %v",
+					n.cfg.NodeID, c.RemoteAddr(), err)
+			}
+			return
 		}
-		b, err := EncodeFrame(resp)
-		if err != nil {
-			b, _ = EncodeFrame(Frame{Type: FrameError, From: n.cfg.NodeID, Error: "encode failed"})
+		if wbuf, err = appendFrame(wbuf[:0], resp); err != nil {
+			wbuf, _ = appendFrame(wbuf[:0], n.errorFrame("encode failed"))
 		}
 		c.SetWriteDeadline(time.Now().Add(n.cfg.CallTimeout))
-		if _, err := c.Write(b); err != nil {
+		if _, err := c.Write(wbuf); err != nil {
 			return
 		}
 	}
-	// Surface why the inbound stream ended: a frame over MaxFrameBytes
-	// (bufio.ErrTooLong) or a mid-frame transport error reads completely
-	// differently from a peer hanging up, and chaos runs need to tell a
-	// partition from a protocol violation.
-	if err := sc.Err(); err != nil {
-		n.cfg.Logf("cluster: node %s: inbound connection from %s failed: %v",
-			n.cfg.NodeID, c.RemoteAddr(), err)
-	}
+}
+
+func (n *Node) errorFrame(msg string) Frame {
+	return Frame{Type: FrameError, From: n.cfg.NodeID, Error: msg}
 }
 
 func (n *Node) handleFrame(f Frame) Frame {
@@ -509,26 +544,18 @@ func (n *Node) handleFrame(f Frame) Frame {
 		n.adoptView(f)
 		return n.viewFrame(FrameAck)
 	case FrameForward:
-		items, err := DecodeItems(f.Items)
+		res, err := n.backend.IngestForwarded(f.Tenant, f.Key, f.Items)
 		if err != nil {
-			return Frame{Type: FrameError, From: n.cfg.NodeID, Error: err.Error()}
-		}
-		res, err := n.backend.IngestForwarded(f.Tenant, f.Key, items)
-		if err != nil {
-			return Frame{Type: FrameError, From: n.cfg.NodeID, Error: err.Error()}
+			return n.errorFrame(err.Error())
 		}
 		return Frame{
 			Type: FrameForwardAck, From: n.cfg.NodeID, Key: f.Key,
 			Accepted: res.Accepted, Shed: res.Shed, Quarantined: res.Quarantined,
 		}
 	case FrameMigrate:
-		items, err := DecodeItems(f.Items)
+		res, err := n.backend.IngestHandoff(f.Tenant, f.Key, f.Items, f.Seq > 0)
 		if err != nil {
-			return Frame{Type: FrameError, From: n.cfg.NodeID, Error: err.Error()}
-		}
-		res, err := n.backend.IngestHandoff(f.Tenant, f.Key, items, f.Seq > 0)
-		if err != nil {
-			return Frame{Type: FrameError, From: n.cfg.NodeID, Error: err.Error()}
+			return n.errorFrame(err.Error())
 		}
 		n.cfg.Logf("cluster: node %s adopted stream %q chunk %d (%d items, %d shed)",
 			n.cfg.NodeID, f.Key, f.Seq, res.Accepted, res.Shed)
@@ -537,7 +564,7 @@ func (n *Node) handleFrame(f Frame) Frame {
 			Accepted: res.Accepted, Shed: res.Shed, Quarantined: res.Quarantined,
 		}
 	default:
-		return Frame{Type: FrameError, From: n.cfg.NodeID, Error: "unexpected frame " + f.Type}
+		return n.errorFrame("unexpected frame " + f.Type)
 	}
 }
 
@@ -594,21 +621,27 @@ func (n *Node) connFor(conns map[string]*peerConn, id string) (*peerConn, error)
 	n.connMu.Unlock()
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.c != nil {
-		return pc, nil
+	if pc.c == nil {
+		if err := n.dial(pc, id); err != nil {
+			return nil, err
+		}
 	}
+	return pc, nil
+}
+
+// dial connects pc to the peer. The caller holds pc.mu.
+func (n *Node) dial(pc *peerConn, id string) error {
 	addr := n.mem.PeerAddr(id)
 	if addr == "" {
-		return nil, fmt.Errorf("cluster: no address for peer %s", id)
+		return fmt.Errorf("cluster: no address for peer %s", id)
 	}
 	c, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pc.c = c
-	pc.sc = bufio.NewScanner(c)
-	pc.sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
-	return pc, nil
+	pc.br = bufio.NewReaderSize(c, readBufSize)
+	return nil
 }
 
 // exchange performs one request/response on a held connection. The
@@ -619,30 +652,24 @@ func (n *Node) connFor(conns map[string]*peerConn, id string) (*peerConn, error)
 // error means the outcome is in doubt — the peer may have processed the
 // frame even though its ack never arrived.
 func (n *Node) exchange(pc *peerConn, f Frame) (resp Frame, wrote bool, err error) {
-	b, err := EncodeFrame(f)
-	if err != nil {
+	if pc.wbuf, err = appendFrame(pc.wbuf[:0], f); err != nil {
 		return Frame{}, false, err
 	}
 	pc.c.SetDeadline(time.Now().Add(n.cfg.CallTimeout))
-	if _, err := pc.c.Write(b); err != nil {
-		pc.c.Close()
-		pc.c = nil
-		return Frame{}, false, err
+	_, err = pc.c.Write(pc.wbuf)
+	if cap(pc.wbuf) > maxKeptBuf {
+		pc.wbuf = nil
 	}
-	if !pc.sc.Scan() {
-		err := pc.sc.Err()
-		if err == nil {
+	if err == nil {
+		wrote = true
+		if resp, err = readFrame(pc.br); err == io.EOF {
 			err = errors.New("cluster: peer closed connection")
 		}
-		pc.c.Close()
-		pc.c = nil
-		return Frame{}, true, err
 	}
-	resp, err = DecodeFrame(pc.sc.Bytes())
 	if err != nil {
 		pc.c.Close()
 		pc.c = nil
-		return Frame{}, true, err
+		return Frame{}, wrote, err
 	}
 	return resp, true, nil
 }
@@ -673,17 +700,9 @@ func (n *Node) callOn(pc *peerConn, id string, f Frame) (Frame, bool, error) {
 	defer pc.mu.Unlock()
 	if pc.c == nil {
 		// Torn down between peerConnFor and lock; redial inline.
-		addr := n.mem.PeerAddr(id)
-		if addr == "" {
-			return Frame{}, false, fmt.Errorf("cluster: no address for peer %s", id)
+		if err := n.dial(pc, id); err != nil {
+			return Frame{}, false, err
 		}
-		c, derr := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
-		if derr != nil {
-			return Frame{}, false, derr
-		}
-		pc.c = c
-		pc.sc = bufio.NewScanner(c)
-		pc.sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
 	}
 	return n.exchange(pc, f)
 }
@@ -811,16 +830,13 @@ func (n *Node) migrateStream(key, owner string) {
 	if !detached {
 		firstSeq = 1
 	}
-	sent := 0
-	for off, seq := 0, firstSeq; off < len(items) || off == 0; off, seq = off+maxChunkItems, seq+1 {
-		end := off + maxChunkItems
-		if end > len(items) {
-			end = len(items)
-		}
+	// The first frame goes out even when the backlog is empty.
+	for off, end, seq := 0, 0, firstSeq; off < len(items) || seq == firstSeq; off, seq = end, seq+1 {
+		end = chunkEnd(items, off)
 		chunk := items[off:end]
 		resp, wrote, err := n.exchange(pc, Frame{
 			Type: FrameMigrate, From: n.cfg.NodeID,
-			Key: key, Items: EncodeItems(chunk), Seq: seq, Tenant: tenant,
+			Key: key, Items: chunk, Seq: seq, Tenant: tenant,
 		})
 		if err == nil && resp.Type != FrameMigrateAck {
 			// The owner answered and refused: definitively not ingested.
@@ -857,8 +873,7 @@ func (n *Node) migrateStream(key, owner string) {
 			}
 			return
 		}
-		sent = end
 	}
 	n.cfg.Logf("cluster: node %s shipped stream %q (%d items) to %s",
-		n.cfg.NodeID, key, sent, owner)
+		n.cfg.NodeID, key, len(items), owner)
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -257,14 +259,10 @@ func newFlakyPeer(t *testing.T) *flakyPeer {
 			}
 			go func() {
 				defer c.Close()
-				sc := bufio.NewScanner(c)
-				sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
-				if sc.Scan() {
-					if f, err := DecodeFrame(sc.Bytes()); err == nil {
-						p.mu.Lock()
-						p.frames = append(p.frames, f)
-						p.mu.Unlock()
-					}
+				if f, err := readFrame(bufio.NewReader(c)); err == nil {
+					p.mu.Lock()
+					p.frames = append(p.frames, f)
+					p.mu.Unlock()
 				}
 			}()
 		}
@@ -340,8 +338,8 @@ func TestForwardAckLossReadmitsOnlyUnwrittenTail(t *testing.T) {
 	if len(fwd) != 1 {
 		t.Fatalf("peer saw %d forward frames, want exactly 1 (no re-send of in-doubt items)", len(fwd))
 	}
-	if sent, err := DecodeItems(fwd[0].Items); err != nil || len(sent) != 2 {
-		t.Fatalf("peer saw chunk of %d items (%v), want the first 2", len(sent), err)
+	if sent := fwd[0].Items; len(sent) != 2 || !bytes.Equal(sent[0], []byte("a")) || !bytes.Equal(sent[1], []byte("b")) {
+		t.Fatalf("peer saw chunk %q, want the first 2 items", sent)
 	}
 }
 
@@ -440,10 +438,25 @@ func TestHeartbeatsNotStarvedByBusyDataConnection(t *testing.T) {
 	}
 }
 
-// TestHandleConnLogsOversizedFrame: an inbound frame over MaxFrameBytes
-// kills the connection via the scanner; the reason used to vanish,
-// making a protocol violation indistinguishable from a hangup.
+// TestHandleConnLogsOversizedFrame: an inbound line over MaxFrameBytes
+// kills the connection; the reason used to vanish, making a protocol
+// violation indistinguishable from a hangup.
 func TestHandleConnLogsOversizedFrame(t *testing.T) {
+	_, c, logged := loggingNode(t)
+	// One "frame" over the limit, no newline in sight.
+	junk := bytes.Repeat([]byte("x"), MaxFrameBytes+1)
+	if _, err := c.Write(junk); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "oversized frame to be logged", func() bool {
+		return logged("inbound connection", "too long")
+	})
+}
+
+// loggingNode boots one node whose log lines the test can inspect, and
+// a raw client connection to its wire listener.
+func loggingNode(t *testing.T) (backend *fakeBackend, c net.Conn, logged func(...string) bool) {
+	t.Helper()
 	var logMu sync.Mutex
 	var logs []string
 	cfg := testNodeConfig("n1", nil)
@@ -452,30 +465,156 @@ func TestHandleConnLogsOversizedFrame(t *testing.T) {
 		logs = append(logs, fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}
-	n1, err := NewNode(cfg, newFakeBackend())
+	backend = newFakeBackend()
+	n, err := NewNode(cfg, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { n1.Close() })
-
-	c, err := net.Dial("tcp", n1.Addr())
+	t.Cleanup(func() { n.Close() })
+	c, err = net.Dial("tcp", n.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	// One "frame" over the limit, no newline in sight.
-	junk := bytes.Repeat([]byte("x"), MaxFrameBytes+1)
-	if _, err := c.Write(junk); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "oversized frame to be logged", func() bool {
+	t.Cleanup(func() { c.Close() })
+	return backend, c, func(parts ...string) bool {
 		logMu.Lock()
 		defer logMu.Unlock()
+	next:
 		for _, l := range logs {
-			if strings.Contains(l, "inbound connection") && strings.Contains(l, "too long") {
-				return true
+			for _, p := range parts {
+				if !strings.Contains(l, p) {
+					continue next
+				}
 			}
+			return true
 		}
 		return false
+	}
+}
+
+// TestHandleConnClosesOnUnframeableBinary is the binary twin of
+// TestHandleConnLogsOversizedFrame: a frame whose header declares more
+// than MaxFrameBytes is refused before anything is allocated for it,
+// and a frame cut short mid-body is never acted on. Both end the
+// connection with the reason logged and ingest nothing.
+func TestHandleConnClosesOnUnframeableBinary(t *testing.T) {
+	whole, err := EncodeFrame(Frame{Type: FrameForward, From: "n2", Key: "s", Items: [][]byte{[]byte("a"), []byte("b")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversize := []byte{frameMagic, 1, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(oversize[2:], MaxFrameBytes-headerLen+1)
+	for name, tc := range map[string]struct {
+		sent   []byte
+		reason string
+	}{
+		"declared length over MaxFrameBytes": {oversize, "too long"},
+		"truncated mid-body":                 {whole[:len(whole)-1], "unexpected EOF"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			backend, c, logged := loggingNode(t)
+			if _, err := c.Write(tc.sent); err != nil {
+				t.Fatal(err)
+			}
+			c.(*net.TCPConn).CloseWrite()
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := c.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+				t.Fatalf("read %d bytes, %v; want the connection closed with no answer", n, err)
+			}
+			waitFor(t, "the reason to be logged", func() bool { return logged("inbound connection", tc.reason) })
+			if keys := backend.StreamKeys(); len(keys) != 0 {
+				t.Fatalf("backend ingested from an unframeable frame: streams %v", keys)
+			}
+		})
+	}
+}
+
+// TestHandleConnFramesOwnTheirSlab: two fwd frames arrive back to back
+// on one connection — in one segment, so both sit in the read buffer at
+// once — into a backend that retains what it is given, as a pair does
+// until its drain. The first frame's items must be byte-identical after
+// the second has been read: each frame's items live in a slab of its
+// own, never in a read buffer the next frame reuses.
+func TestHandleConnFramesOwnTheirSlab(t *testing.T) {
+	backend, c, _ := loggingNode(t)
+	batch := func(fill byte) [][]byte {
+		items := make([][]byte, 8)
+		for i := range items {
+			items[i] = bytes.Repeat([]byte{fill + byte(i)}, 100)
+		}
+		return items
+	}
+	first, second := batch('a'), batch('A')
+	var sent []byte
+	for _, items := range [][][]byte{first, second} {
+		b, err := EncodeFrame(Frame{Type: FrameForward, From: "n2", Key: "s", Items: items})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, b...)
+	}
+	if _, err := c.Write(sent); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < 2; i++ {
+		ack, err := readFrame(br)
+		if err != nil || ack.Type != FrameForwardAck || ack.Accepted != 8 {
+			t.Fatalf("ack %d: %+v, %v", i, ack, err)
+		}
+	}
+	got := backend.items("s")
+	if len(got) != 16 {
+		t.Fatalf("backend holds %d items, want 16", len(got))
+	}
+	for i, want := range append(first, second...) {
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("retained item %d = %q, want %q", i, got[i], want)
+		}
+	}
+}
+
+// TestSweepShipsLargeItemBacklog: a backlog whose encoding passes
+// MaxFrameBytes within maxChunkItems items (4096 × 2 KiB) must still
+// migrate. Chunks close on a byte budget as well as a count; before
+// that the one oversized frame failed to encode, the backlog was
+// re-admitted locally and every sweep repeated it forever.
+func TestSweepShipsLargeItemBacklog(t *testing.T) {
+	f1, f2 := newFakeBackend(), newFakeBackend()
+	n1, n2 := twoNodes(t, f1, f2, nil, nil)
+	waitFor(t, "mutual membership", func() bool {
+		return len(n1.router.Members()) == 2 && len(n2.router.Members()) == 2
 	})
+	key := keyOwnedBy(n1.router, "n2")
+	want := make([][]byte, 4096)
+	for i := range want {
+		want[i] = bytes.Repeat([]byte{byte(i)}, 2048)
+		copy(want[i], fmt.Sprintf("item-%04d", i))
+	}
+	f1.add(key, 5, want...)
+	waitFor(t, "stream to migrate", func() bool {
+		return len(f2.items(key)) == len(want)
+	})
+	for i, got := range f2.items(key) {
+		if !bytes.Equal(got, want[i]) {
+			t.Fatalf("migrated item %d = %q… (FIFO broken)", i, got[:9])
+		}
+	}
+	if keys := f1.StreamKeys(); len(keys) != 0 {
+		t.Fatalf("stream still on n1: %v", keys)
+	}
+	// One stream migrated once: exactly the first chunk is not a
+	// continuation, however many frames the bytes needed.
+	f2.mu.Lock()
+	flags := append([]bool(nil), f2.contFlags...)
+	f2.mu.Unlock()
+	if len(flags) < 2 {
+		t.Fatalf("%d hand-off frames for %d MiB of items, want a split", len(flags), len(want)*2048>>20)
+	}
+	for i, cont := range flags {
+		if cont != (i > 0) {
+			t.Fatalf("hand-off cont flags %v: only the first chunk may count the stream", flags)
+		}
+	}
 }

@@ -58,10 +58,6 @@ func (p *SegmentPool[T]) SegSize() int { return p.segSize }
 // Total returns the pool's total segment count.
 func (p *SegmentPool[T]) Total() int { return p.total }
 
-// Capacity returns the total item slots the pool can back (Total ×
-// SegSize): the physical ceiling on any queue drawing from it.
-func (p *SegmentPool[T]) Capacity() int { return p.total * p.segSize }
-
 // FreeSegments returns how many segments are currently unclaimed.
 func (p *SegmentPool[T]) FreeSegments() int {
 	p.mu.Lock()

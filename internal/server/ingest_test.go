@@ -444,6 +444,60 @@ func TestOverflowWaitIsBounded(t *testing.T) {
 	}
 }
 
+// TestOverflowWaitOutlastsBusyManager: the bound counts consumer stall,
+// not wall clock. One manager serves eight pairs due in one slot; seven
+// handlers take 10 ms each and the eighth pair, full, is drained last.
+// A batch overflowing it as the round starts waits ≈ 70 ms — past the
+// bound — behind a manager that is busy, never wedged, and is admitted
+// whole. (With the bound on wall clock it was answered 429 at 50 ms.)
+func TestOverflowWaitOutlastsBusyManager(t *testing.T) {
+	roundStarted := make(chan struct{}, 1)
+	// Slot == latency bound: everything ingested during slot 0, which is
+	// where the set-up below lands, is due at the start of slot 1.
+	s, _ := newTestServer(t, Config{
+		HandlerFor: func(key string) func([][]byte) {
+			if key == "full" {
+				return func([][]byte) {}
+			}
+			return func([][]byte) {
+				select {
+				case roundStarted <- struct{}{}:
+				default:
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		},
+	}, repro.WithManagers(1), repro.WithBuffer(8), repro.WithoutResizing(),
+		repro.WithSlotSize(500*time.Millisecond), repro.WithMaxLatency(500*time.Millisecond))
+	base := "http://" + s.Addr()
+	// Reservation order is drain order within a slot: the slow pairs
+	// first, the full one last.
+	for i := 0; i < 7; i++ {
+		if status, _, _ := postLines(t, base, fmt.Sprintf("slow-%d", i), []string{"x"}); status != http.StatusOK {
+			t.Fatalf("slow-%d ingest status %d", i, status)
+		}
+	}
+	fill := []string{"0", "1", "2", "3", "4", "5", "6", "7"}
+	if status, accepted, _ := postLines(t, base, "full", fill); status != http.StatusOK || accepted != 8 {
+		t.Fatalf("fill: status %d accepted %d", status, accepted)
+	}
+	select {
+	case <-roundStarted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the slot's round never started")
+	}
+	status, accepted, shed := postLines(t, base, "full", []string{"a", "b", "c", "d"})
+	if status != http.StatusOK || accepted != 4 || shed != 0 {
+		t.Fatalf("status %d accepted %d shed %d, want 200 with all 4 admitted behind the busy manager", status, accepted, shed)
+	}
+	if got := s.overflowWaits[protoHTTP].Load(); got != 1 {
+		t.Fatalf("overflow waits = %d, want 1", got)
+	}
+	if waited := time.Duration(s.overflowWaitNs[protoHTTP].Load()); waited < overflowWaitBound {
+		t.Fatalf("waited %v: the round ended inside the %v bound, so the test proved nothing", waited, overflowWaitBound)
+	}
+}
+
 // quarantinedServer hosts one stream, "q", whose consumer always fails
 // and whose breaker is already open.
 func quarantinedServer(t *testing.T) *Server {

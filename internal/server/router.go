@@ -166,10 +166,14 @@ func (s *Server) ingestLocal(src proto, tenantID, key string, items [][]byte) (I
 }
 
 // overflowWaitBound is how long putAll keeps offering a pair the tail
-// it had no room for before shedding it. The overflow has already
-// forced the drain, so room normally appears within one handler run
-// (longest wait measured under the saturating benchmark: 5 ms); the
-// bound is what a producer pays when the consumer is wedged instead.
+// it had no room for while the consumer side stands still, before
+// shedding it. The overflow has already forced the drain, but that
+// drain queues behind the round the pair's core manager is working
+// through, and a healthy round can outlast any fixed wall-clock bound
+// (p99 rounds of 38–101 ms under the saturating benchmark). So the
+// clock restarts whenever the manager completes a handler invocation:
+// the bound is what a producer pays when the consumer is wedged, not
+// when it is busy.
 const overflowWaitBound = 50 * time.Millisecond
 
 // putAll offers items to the stream's pair as one batch and returns the
@@ -179,12 +183,12 @@ const overflowWaitBound = 50 * time.Millisecond
 //
 // A full pair is the paper's overflow (§V): PutBatch has woken the
 // consumer, and the producer waits for it — the unadmitted tail is
-// retried with PutWait's 50 µs→2 ms backoff until it fits or
-// overflowWaitBound elapses, and only then shed. A quarantined or closed
-// pair and a draining server never wait. The stream's read lock is
-// dropped while sleeping, so a pending DetachStream (a writer, which
-// would stall every other reader behind it) is delayed by one PutBatch,
-// not by the wait.
+// retried with PutWait's 50 µs→2 ms backoff until it fits or the pair's
+// manager has made no progress for overflowWaitBound, and only then
+// shed. A quarantined or closed pair and a draining server never wait.
+// The stream's read lock is dropped while sleeping, so a pending
+// DetachStream (a writer, which would stall every other reader behind
+// it) is delayed by one PutBatch, not by the wait.
 //
 // With a tenant registry the stream's tenant is charged first: items
 // beyond the elastic buffer grant are shed at the tenant layer before
@@ -207,7 +211,8 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 	}
 	res.Shed = len(items) - grant
 	rest := items[:grant]
-	var waitFrom time.Time
+	var waitFrom, stallFrom time.Time
+	var progress uint64
 	backoff := 50 * time.Microsecond
 	for {
 		n, err := st.pair.PutBatch(rest)
@@ -222,10 +227,14 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 			}
 			break
 		}
+		now := time.Now()
 		if waitFrom.IsZero() {
-			waitFrom = time.Now()
+			waitFrom = now
 		}
-		if s.draining.Load() || time.Since(waitFrom) >= overflowWaitBound {
+		if p := st.pair.ManagerProgress(); stallFrom.IsZero() || p != progress {
+			progress, stallFrom = p, now
+		}
+		if s.draining.Load() || now.Sub(stallFrom) >= overflowWaitBound {
 			res.Shed += len(rest)
 			break
 		}

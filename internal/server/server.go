@@ -20,9 +20,11 @@
 //   - A full pair is backpressure before it is loss. The overflowing
 //     PutBatch has already forced the drain (the paper's overflow
 //     wakeup, §V), so the producer waits for it: the unadmitted tail is
-//     retried for a bounded time (overflowWaitBound), HTTP delaying its
-//     ack and the raw-TCP reader not reading, so the kernel's flow
-//     control slows the sender. Only what still does not fit is shed
+//     retried while the pair's core manager keeps completing handler
+//     invocations (and overflowWaitBound past the last one), HTTP
+//     delaying its ack and the raw-TCP reader not reading, so the
+//     kernel's flow control slows the sender. Only what still does not
+//     fit once the consumer side has stood still that long is shed
 //     (HTTP 429 / TCP silent drop) and counted. What never waits: the
 //     accept loops, other streams' requests, a quarantined or closed
 //     pair, the tenant walls, and a draining server.

@@ -225,6 +225,11 @@ type manager struct {
 	// controller is trying to shrink.
 	timerWakes  atomic.Uint64
 	forcedWakes atomic.Uint64
+	// drains counts the consumer invocations this goroutine has
+	// completed, for any pair: it moves while the manager works through
+	// a round and stands still while a handler has it wedged (see
+	// Pair.ManagerProgress).
+	drains atomic.Uint64
 }
 
 func newManager(rt *Runtime, id int) *manager {
@@ -446,6 +451,7 @@ func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, w
 		cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(now), Items: rep.delivered, Scheduled: scheduled})
 	}
 	p.countInvocation(m.rt)
+	m.drains.Add(1)
 	if dt := now.Sub(p.lastDrain); dt > 0 {
 		p.pred.Observe(float64(rep.dequeued) / dt.Seconds())
 	}

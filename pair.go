@@ -92,9 +92,9 @@ func (p *Pair[T]) drainFault(final bool) drainReport {
 	}
 
 	batch := p.q.DrainTo(p.scratch[:0])
-	// scratch is presized to the segment arena's capacity, so DrainTo
-	// normally fills it in place; persist it anyway so a growth forced
-	// by lent capacity is paid once, not on every drain.
+	// scratch starts empty and DrainTo grows it to fit: it settles at
+	// the pair's largest drain, not at the arena's ceiling, and
+	// steady-state drains reuse it without allocating.
 	p.scratch = batch
 	rep.dequeued = len(batch)
 	if len(batch) == 0 {
@@ -402,6 +402,14 @@ func (p *Pair[T]) Len() int { return p.q.Len() }
 
 // Quota returns the pair's current elastic buffer capacity.
 func (p *Pair[T]) Quota() int { return p.q.Quota() }
+
+// ManagerProgress counts the consumer invocations the pair's core
+// manager has completed, for any of the pairs it serves. A producer
+// waiting out an overflow compares two readings to tell a consumer side
+// that is busy (the forced drain is queued behind the manager's current
+// round, and the count moves) from one that is wedged in a handler (it
+// does not).
+func (p *Pair[T]) ManagerProgress() uint64 { return p.st.mgr.Load().drains.Load() }
 
 // Quarantined reports whether the pair's circuit breaker is open.
 func (p *Pair[T]) Quarantined() bool { return p.st.quarantined.Load() }

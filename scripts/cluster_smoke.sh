@@ -82,12 +82,14 @@ echo "cluster-smoke: scraping status"
 for node in "a $A_HTTP" "b $B_HTTP"; do
   set -- $node
   STATUS=$(curl -sf "http://$2/statusz")
-  echo "$STATUS" | grep -q '"enabled": *true' || { echo "cluster-smoke: node $1 not in cluster mode"; exit 1; }
-  echo "$STATUS" | grep -q '"leader": *"a"' || { echo "cluster-smoke: node $1 disagrees on leader"; exit 1; }
-  echo "$STATUS" | grep -q '"id": *"acme"' || { echo "cluster-smoke: node $1 missing tenant table"; exit 1; }
+  # Here-strings, not echo | grep -q: under pipefail a grep that exits
+  # on its first match can fail the pipeline with echo's SIGPIPE.
+  grep -q '"enabled": *true' <<<"$STATUS" || { echo "cluster-smoke: node $1 not in cluster mode"; exit 1; }
+  grep -q '"leader": *"a"' <<<"$STATUS" || { echo "cluster-smoke: node $1 disagrees on leader"; exit 1; }
+  grep -q '"id": *"acme"' <<<"$STATUS" || { echo "cluster-smoke: node $1 missing tenant table"; exit 1; }
   METRICS=$(curl -sf "http://$2/metrics")
-  echo "$METRICS" | grep -q '^pcd_cluster_peers' || { echo "cluster-smoke: node $1 missing cluster metrics"; exit 1; }
-  echo "$METRICS" | grep -q '^pcd_tenant_' || { echo "cluster-smoke: node $1 missing tenant metrics"; exit 1; }
+  grep -q '^pcd_cluster_peers' <<<"$METRICS" || { echo "cluster-smoke: node $1 missing cluster metrics"; exit 1; }
+  grep -q '^pcd_tenant_' <<<"$METRICS" || { echo "cluster-smoke: node $1 missing tenant metrics"; exit 1; }
 done
 
 # The node that fielded the keyless probe must have counted it.
