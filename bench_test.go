@@ -13,6 +13,7 @@ package repro
 // configuration so the suite stays minutes, not hours.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -222,6 +223,23 @@ func BenchmarkLivePut(b *testing.B) {
 			time.Sleep(time.Microsecond)
 		}
 	}
+}
+
+// BenchmarkInvocation measures the consumer side the Put benchmarks
+// barely touch: the timer-driven drain cycle of four trickle-fed pairs
+// on one manager. ns/op is dominated by waiting for slots; the number
+// that matters is allocs/invocation, which scripts/alloc_gate.sh holds
+// to zero.
+func BenchmarkInvocation(b *testing.B) {
+	rt, ps := trickleRuntime(b, 4)
+	defer rt.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	made := trickle(rt, ps, uint64(b.N))
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(made), "allocs/invocation")
 }
 
 // BenchmarkLivePutBatch measures the bulk producer path: one PutBatch

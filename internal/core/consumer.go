@@ -168,7 +168,7 @@ func (c *consumer) reserveNext() {
 		return
 	}
 	now := c.loop.Now()
-	plan := c.planner.Next(now, c.pred.Predict(), c.buf.Len(), c.cm, c.requestQuota)
+	plan := c.planner.Next(now, c.pred.Predict(), c.buf.Len(), &c.cm.cal, c.requestQuota)
 	if !plan.Reserve {
 		return
 	}

@@ -16,12 +16,10 @@ type coreManager struct {
 	loop  *simtime.Loop
 	track track.Track
 
-	// reservations maps slot index → consumers registered for it. Only
-	// near-future slots ever exist: "past reservations are replaced and
-	// future reservations are limited to only the next invocation of
-	// every consumer" (§V-B), so the map holds at most one entry per
-	// consumer hosted on the core.
-	reservations map[int64][]*consumer
+	// cal holds the consumers registered for each slot, and due is the
+	// scratch onWake pops the current slot's consumers into.
+	cal track.Calendar[*consumer]
+	due []*consumer
 
 	wakeEvent *simtime.Event
 	wakeSlot  int64
@@ -32,39 +30,7 @@ type coreManager struct {
 }
 
 func newCoreManager(core *sim.Core, loop *simtime.Loop, tr track.Track) *coreManager {
-	return &coreManager{
-		core:         core,
-		loop:         loop,
-		track:        tr,
-		reservations: make(map[int64][]*consumer),
-	}
-}
-
-// Has reports whether slot already has a registered consumer — the
-// w(s)=0 condition in the reservation cost function. Together with
-// PrevReserved it satisfies the planner's Reservations view.
-func (cm *coreManager) Has(slot int64) bool {
-	return len(cm.reservations[slot]) > 0
-}
-
-// PrevReserved returns the latest reserved slot strictly inside
-// (after, before), mirroring the paper's "helper function in the core
-// manager that backtracks to the next slot with reservations". The
-// reservation set holds at most one entry per hosted consumer, so the
-// scan is O(consumers-per-core).
-func (cm *coreManager) PrevReserved(before, after int64) (int64, bool) {
-	best := int64(0)
-	found := false
-	for slot, cs := range cm.reservations {
-		if len(cs) == 0 {
-			continue
-		}
-		if slot > after && slot < before && (!found || slot > best) {
-			best = slot
-			found = true
-		}
-	}
-	return best, found
+	return &coreManager{core: core, loop: loop, track: tr}
 }
 
 // reserve registers c for slot, replacing any previous reservation, and
@@ -74,7 +40,7 @@ func (cm *coreManager) reserve(c *consumer, slot int64) {
 		return
 	}
 	cm.deregister(c)
-	cm.reservations[slot] = append(cm.reservations[slot], c)
+	cm.cal.Add(slot, c)
 	c.reservedSlot = slot
 	cm.ensureWake()
 }
@@ -86,48 +52,21 @@ func (cm *coreManager) deregister(c *consumer) {
 		return
 	}
 	slot := c.reservedSlot
-	list := cm.reservations[slot]
-	for i, other := range list {
-		if other == c {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(cm.reservations, slot)
-	} else {
-		cm.reservations[slot] = list
-	}
+	cm.cal.Remove(slot, c)
 	c.reservedSlot = -1
 	// If the manager was about to wake for a now-empty slot, move the
 	// wakeup to the next populated one (or cancel it).
-	if cm.wakeEvent != nil && slot == cm.wakeSlot && !cm.Has(slot) {
+	if cm.wakeEvent != nil && slot == cm.wakeSlot && !cm.cal.Has(slot) {
 		cm.loop.Cancel(cm.wakeEvent)
 		cm.wakeEvent = nil
 		cm.ensureWake()
 	}
 }
 
-// earliestReservedSlot returns the minimum populated slot index.
-func (cm *coreManager) earliestReservedSlot() (int64, bool) {
-	best := int64(0)
-	found := false
-	for slot, cs := range cm.reservations {
-		if len(cs) == 0 {
-			continue
-		}
-		if !found || slot < best {
-			best = slot
-			found = true
-		}
-	}
-	return best, found
-}
-
 // ensureWake keeps the manager's single wake event pointed at the
 // earliest reserved slot.
 func (cm *coreManager) ensureWake() {
-	slot, ok := cm.earliestReservedSlot()
+	slot, ok := cm.cal.Earliest()
 	if !ok {
 		if cm.wakeEvent != nil {
 			cm.loop.Cancel(cm.wakeEvent)
@@ -153,10 +92,9 @@ func (cm *coreManager) ensureWake() {
 func (cm *coreManager) onWake() {
 	cm.wakeEvent = nil
 	slot := cm.wakeSlot
-	consumers := cm.reservations[slot]
-	delete(cm.reservations, slot)
+	cm.due = cm.cal.PopThrough(slot, cm.due[:0])
 	cm.scheduledWakes++
-	for _, c := range consumers {
+	for _, c := range cm.due {
 		c.reservedSlot = -1
 		c.invoke(true)
 	}

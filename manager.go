@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/simtime"
+	"repro/internal/track"
 )
 
 // drainReport is the outcome of one fault-isolated drain
@@ -71,6 +72,13 @@ type pairState struct {
 	planner      *core.Planner
 	lastDrain    simtime.Time
 	reservedSlot int64 // -1 when none; manager-owned
+
+	// labelCtx carries the owning manager's pprof labels plus this
+	// pair's pbpl_pair, set on the manager goroutine around each drain;
+	// labelOwner is the manager it was built for, so a migrated pair
+	// rebuilds it on its first drain at the new owner. Manager-owned.
+	labelCtx   context.Context
+	labelOwner *manager
 
 	// Fault-tolerance configuration, fixed at creation.
 	handlerTimeout time.Duration    // 0: no watchdog
@@ -203,9 +211,12 @@ func (st *pairState) pairStats() PairStats {
 // a core executes one consumer at a time, which is precisely what
 // makes latching free.
 type manager struct {
-	rt  *Runtime
-	id  int
-	res map[int64][]*pairState
+	rt *Runtime
+	id int
+	// cal holds the reserved pairs by slot; due is the scratch onTimer
+	// pops a fire's pairs into.
+	cal track.Calendar[*pairState]
+	due []*pairState
 
 	cmds  chan func()
 	kick  chan *pairState
@@ -214,9 +225,9 @@ type manager struct {
 
 	timer *time.Timer
 
-	// labelCtx carries the goroutine's pprof labels (pbpl_manager) so
-	// per-drain pair labels can nest under them via pprof.Do; set once
-	// at the top of loop.
+	// labelCtx carries the goroutine's pprof labels (pbpl_manager): the
+	// parent of every hosted pair's labelCtx and what the goroutine goes
+	// back to after a drain; set once at the top of loop.
 	labelCtx context.Context
 
 	// Per-manager wakeup counters (atomics: incremented alongside the
@@ -240,47 +251,12 @@ func newManager(rt *Runtime, id int) *manager {
 	return &manager{
 		rt:    rt,
 		id:    id,
-		res:   make(map[int64][]*pairState),
 		cmds:  make(chan func(), 16),
 		kick:  make(chan *pairState, 128),
 		force: make(chan *pairState, 128),
 		done:  make(chan struct{}),
 		timer: t,
 	}
-}
-
-// Has implements core.Reservations.
-func (m *manager) Has(slot int64) bool { return len(m.res[slot]) > 0 }
-
-// PrevReserved implements core.Reservations.
-func (m *manager) PrevReserved(before, after int64) (int64, bool) {
-	best := int64(0)
-	found := false
-	for slot, ps := range m.res {
-		if len(ps) == 0 {
-			continue
-		}
-		if slot > after && slot < before && (!found || slot > best) {
-			best = slot
-			found = true
-		}
-	}
-	return best, found
-}
-
-func (m *manager) earliest() (int64, bool) {
-	best := int64(0)
-	found := false
-	for slot, ps := range m.res {
-		if len(ps) == 0 {
-			continue
-		}
-		if !found || slot < best {
-			best = slot
-			found = true
-		}
-	}
-	return best, found
 }
 
 // loop is the manager goroutine: arm the timer at the earliest reserved
@@ -296,7 +272,7 @@ func (m *manager) loop() {
 	defer m.finalDrain()
 	for {
 		var timerC <-chan time.Time
-		if slot, ok := m.earliest(); ok {
+		if slot, ok := m.cal.Earliest(); ok {
 			d := time.Until(m.rt.wallAt(m.rt.planner.Track.Start(slot)))
 			if d < 0 {
 				d = 0
@@ -355,22 +331,16 @@ func (m *manager) loop() {
 // expiration serving several pairs is the latching payoff — gather the
 // due pairs first so the timeline can record one fire covering them
 // all (and so reservations made while draining never join this round).
+// They drain in ascending slot, then registration order.
 func (m *manager) onTimer() {
 	now := m.rt.now()
 	nowSlot := m.rt.planner.Track.Index(now)
-	var due []*pairState
-	for slot, ps := range m.res {
-		if slot > nowSlot || len(ps) == 0 {
-			continue
-		}
-		delete(m.res, slot)
-		for _, p := range ps {
-			p.reservedSlot = -1
-			due = append(due, p)
-		}
-	}
-	if len(due) == 0 {
+	m.due = m.cal.PopThrough(nowSlot, m.due[:0])
+	if len(m.due) == 0 {
 		return
+	}
+	for _, p := range m.due {
+		p.reservedSlot = -1
 	}
 	m.rt.stats.timerWakes.Add(1)
 	m.timerWakes.Add(1)
@@ -379,19 +349,20 @@ func (m *manager) onTimer() {
 		Nanos:   int64(now),
 		Manager: m.id,
 		Slot:    nowSlot,
-		Items:   len(due),
+		Items:   len(m.due),
 	})
 	var t0 int64
 	o := m.rt.obs
 	if o != nil && o.hist {
 		t0 = o.clock.Precise()
 	}
-	for _, p := range due {
+	for _, p := range m.due {
 		m.drainAndPlan(p, now, true, wake)
 	}
 	if o != nil && o.hist {
 		o.mgrDrain[m.id].Record(o.clock.Precise() - t0)
 	}
+	clear(m.due) // a closed pair must not stay reachable from the scratch
 }
 
 // onKick handles a producer's arm request: a pair that had no
@@ -428,10 +399,13 @@ func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, w
 		}
 		return
 	}
-	var rep drainReport
-	pprof.Do(m.labelCtx, pprof.Labels("pbpl_pair", strconv.Itoa(p.id)), func(context.Context) {
-		rep = p.drainFault(false)
-	})
+	if p.labelOwner != m {
+		p.labelCtx = pprof.WithLabels(m.labelCtx, pprof.Labels("pbpl_pair", strconv.Itoa(p.id)))
+		p.labelOwner = m
+	}
+	pprof.SetGoroutineLabels(p.labelCtx)
+	rep := p.drainFault(false)
+	pprof.SetGoroutineLabels(m.labelCtx)
 	m.rt.timelineAppend(obs.Record{
 		Kind:    obs.KindDrain,
 		Nanos:   int64(m.rt.now()),
@@ -601,7 +575,7 @@ func (m *manager) plan(p *pairState, now simtime.Time) {
 	}
 	rhat := p.pred.Predict()
 	p.lastRate.Store(math.Float64bits(rhat))
-	plan := p.planner.Next(now, rhat, p.pending(), m, func(want int) int {
+	plan := p.planner.Next(now, rhat, p.pending(), &m.cal, func(want int) int {
 		return m.rt.requestQuota(p.id, want)
 	})
 	if plan.Quota >= 0 {
@@ -632,7 +606,7 @@ func (m *manager) reserve(p *pairState, slot int64) {
 		return
 	}
 	m.deregister(p)
-	m.res[slot] = append(m.res[slot], p)
+	m.cal.Add(slot, p)
 	p.reservedSlot = slot
 }
 
@@ -640,18 +614,7 @@ func (m *manager) deregister(p *pairState) {
 	if p.reservedSlot < 0 {
 		return
 	}
-	list := m.res[p.reservedSlot]
-	for i, other := range list {
-		if other == p {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(m.res, p.reservedSlot)
-	} else {
-		m.res[p.reservedSlot] = list
-	}
+	m.cal.Remove(p.reservedSlot, p)
 	p.reservedSlot = -1
 }
 
@@ -660,10 +623,8 @@ func (m *manager) deregister(p *pairState) {
 // accounted in ItemsDropped, never retained.
 func (m *manager) finalDrain() {
 	seen := map[*pairState]bool{}
-	for _, ps := range m.res {
-		for _, p := range ps {
-			seen[p] = true
-		}
+	for _, p := range m.cal.PopThrough(math.MaxInt64, nil) {
+		seen[p] = true
 	}
 	// Also catch pairs with pending items but no reservation (queued
 	// kicks/forces that will never be served).
@@ -682,7 +643,6 @@ func (m *manager) finalDrain() {
 	for p := range seen {
 		p.reservedSlot = -1
 	}
-	m.res = map[int64][]*pairState{}
 	for p := range seen {
 		rep := p.drainFault(true)
 		if rep.attempted > 0 {

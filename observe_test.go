@@ -1,8 +1,12 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -494,4 +498,145 @@ func TestLatencyStampsConcurrentProducers(t *testing.T) {
 	if elapsed := time.Since(begin); pl.Wait.Max > elapsed {
 		t.Fatalf("recorded a wait of %v, %v into the test", pl.Wait.Max, elapsed)
 	}
+}
+
+// TestTimelineSharedWakeDrainOrder: when one timer expiry covers several
+// reserved slots that have already passed, the pairs drain — and their
+// drain records appear — in ascending slot order, whatever order they
+// registered in. (onTimer used to gather the due pairs by ranging over a
+// map, so the order changed from run to run.)
+func TestTimelineSharedWakeDrainOrder(t *testing.T) {
+	rt, err := New(
+		WithSlotSize(5*time.Millisecond),
+		WithMaxLatency(50*time.Millisecond),
+		WithTimeline(1024),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	first, err := Open(rt, Batch(func([]int) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Open(rt, Batch(func([]int) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rt.managers[0]
+	// Let the track reach slot 3: the test reserves two slots back, and
+	// a pair's reservedSlot of −1 means none.
+	time.Sleep(15 * time.Millisecond)
+	for iter := 0; iter < 50; iter++ {
+		seen := len(rt.TimelineDump())
+		_ = first.Put(iter)
+		_ = second.Put(iter)
+		// On the manager goroutine, so nothing fires in between: the
+		// later slot is registered first, both already in the past.
+		m.run(func() {
+			slot := rt.planner.Track.Index(rt.now())
+			m.reserve(first.st, slot-1)
+			m.reserve(second.st, slot-2)
+		})
+		var drains []TimelineRecord
+		if !waitFor(t, 5*time.Second, func() bool {
+			drains = drains[:0]
+			for _, r := range rt.TimelineDump()[seen:] {
+				if r.Kind == "drain" {
+					drains = append(drains, r)
+				}
+			}
+			return len(drains) >= 2
+		}) {
+			t.Fatalf("iteration %d: drains %+v, want both pairs drained", iter, drains)
+		}
+		if drains[0].Pair != second.ID() || drains[1].Pair != first.ID() || drains[0].Wake != drains[1].Wake || drains[0].Wake == 0 {
+			t.Fatalf("iteration %d: drains %+v, want pair %d (earlier slot) then pair %d on one fire", iter, drains, second.ID(), first.ID())
+		}
+	}
+}
+
+// goroutineLabels returns the label set of every goroutine carrying a
+// pbpl_* profiler label, as the goroutine profile prints it.
+func goroutineLabels(t *testing.T) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	var sets []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if set, ok := strings.CutPrefix(line, "# labels: "); ok && strings.Contains(set, "pbpl_") {
+			sets = append(sets, set)
+		}
+	}
+	return sets
+}
+
+// TestDrainCarriesProfilerLabels pins what a profile shows: during a
+// drain the manager goroutine carries pbpl_manager and the pair's
+// pbpl_pair, back at its idle wait only pbpl_manager, and after a
+// migration the pair's drains carry the new manager's id (the label
+// context is cached per (manager, pair), so a stale cache would show
+// here).
+func TestDrainCarriesProfilerLabels(t *testing.T) {
+	rt, err := New(WithManagers(2), WithSlotSize(time.Millisecond), WithMaxLatency(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	pair, err := Open(rt, Batch(func([]int) {
+		entered <- struct{}{}
+		<-release
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairLabel := fmt.Sprintf("%q:%q", "pbpl_pair", strconv.Itoa(pair.ID()))
+	managerLabel := func(m *manager) string { return fmt.Sprintf("%q:%q", "pbpl_manager", strconv.Itoa(m.id)) }
+
+	// blockedDrain puts one item, waits for the handler to block and
+	// checks the one goroutine labelled with the pair is manager m's.
+	blockedDrain := func(m *manager) {
+		t.Helper()
+		if err := pair.Put(1); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("handler never ran")
+		}
+		var draining []string
+		for _, set := range goroutineLabels(t) {
+			if strings.Contains(set, pairLabel) {
+				draining = append(draining, set)
+			}
+		}
+		if len(draining) != 1 || !strings.Contains(draining[0], managerLabel(m)) {
+			t.Fatalf("goroutines labelled %s during the drain: %q, want one also carrying %s", pairLabel, draining, managerLabel(m))
+		}
+		release <- struct{}{}
+	}
+
+	from := pair.st.mgr.Load()
+	blockedDrain(from)
+	// Back at the idle wait the goroutine is the manager's alone.
+	var sets []string
+	if !waitFor(t, 5*time.Second, func() bool {
+		sets = goroutineLabels(t)
+		return !strings.Contains(strings.Join(sets, "\n"), "pbpl_pair")
+	}) {
+		t.Fatalf("pair label outlived the drain: %q", sets)
+	}
+	if !strings.Contains(strings.Join(sets, "\n"), managerLabel(from)) {
+		t.Fatalf("idle manager lost its own label: %q", sets)
+	}
+
+	to := rt.managers[1-from.id]
+	if !rt.migrate(pair.st, to) {
+		t.Fatal("migrate refused")
+	}
+	blockedDrain(to)
 }
