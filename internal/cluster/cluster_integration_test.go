@@ -6,11 +6,13 @@ package cluster
 // migration, and fleet consolidation onto one node at light load.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +52,7 @@ func (p *pcdNode) base() string { return "http://" + p.srv.Addr() }
 
 // bootPCD assembles one node. Seeds name already-running peers; srvMut
 // optionally tweaks the server config (e.g. per-pair options).
-func bootPCD(t *testing.T, id string, seeds map[string]string, fleet *FleetConfig, srvMut ...func(*server.Config)) *pcdNode {
+func bootPCD(t testing.TB, id string, seeds map[string]string, fleet *FleetConfig, srvMut ...func(*server.Config)) *pcdNode {
 	t.Helper()
 	p := &pcdNode{id: id, got: make(map[string][]string)}
 	rt, err := repro.New(
@@ -78,11 +80,18 @@ func bootPCD(t *testing.T, id string, seeds map[string]string, fleet *FleetConfi
 		t.Fatal(err)
 	}
 	p.srv = srv
+	// Tests probe fast to converge fast. Benchmarks keep the default
+	// period, so the heartbeats' own allocations stay out of per-item
+	// figures.
+	heartbeat := 15 * time.Millisecond
+	if _, ok := t.(*testing.B); ok {
+		heartbeat = 0
+	}
 	node, err := NewNode(Config{
 		NodeID:         id,
 		ListenAddr:     "127.0.0.1:0",
 		Seeds:          seeds,
-		HeartbeatEvery: 15 * time.Millisecond,
+		HeartbeatEvery: heartbeat,
 		Fleet:          fleet,
 	}, srv)
 	if err != nil {
@@ -161,7 +170,7 @@ func scrapeCluster(t *testing.T, base string) (server.ClusterStatus, []string) {
 }
 
 // waitConverged blocks until every node sees the full member set.
-func waitConverged(t *testing.T, nodes ...*pcdNode) {
+func waitConverged(t testing.TB, nodes ...*pcdNode) {
 	t.Helper()
 	waitFor(t, "cluster membership convergence", func() bool {
 		for _, p := range nodes {
@@ -462,4 +471,40 @@ func TestClusterFleetPacksLightLoad(t *testing.T) {
 	if keys := idle.srv.StreamKeys(); len(keys) != 0 {
 		t.Fatalf("idle node re-acquired streams: %v", keys)
 	}
+}
+
+// BenchmarkForwardHop prices the forward hop between two in-process
+// nodes: node A's Forward of 64 × 64 B items, node B's handleConn and
+// IngestForwarded into the key's pair, and the ack back to A.
+// allocs/item is process-wide, so B's drains and both nodes' heartbeats
+// are in it; scripts/alloc_gate.sh holds it to one slab per frame.
+func BenchmarkForwardHop(b *testing.B) {
+	const n = 64
+	discard := func(cfg *server.Config) { cfg.HandlerFor = nil }
+	pa := bootPCD(b, "a", nil, nil, discard)
+	pb := bootPCD(b, "b", map[string]string{"a": pa.node.Addr()}, nil, discard)
+	waitConverged(b, pa, pb)
+	key := keyOwnedBy(pa.node.router, "b")
+	items := make([][]byte, n)
+	for i := range items {
+		items[i] = bytes.Repeat([]byte{byte(i)}, 64)
+	}
+	forward := func() {
+		if res, err := pa.node.Forward("", key, items); err != nil || res.Accepted != n {
+			b.Fatalf("forward: %+v, %v", res, err)
+		}
+	}
+	forward() // dials the peer connection and opens B's pair untimed
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forward()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/item")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/item")
 }

@@ -1,15 +1,19 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzDecodeFrame hammers the wire-protocol decoder with arbitrary
 // bytes: it must never panic; any frame it accepts is within the
 // protocol bounds, has every item lying inside the input (sub-slices,
-// never copies or out-of-bounds views), and survives a re-encode /
-// re-decode round trip unchanged — the properties the node loop relies
-// on.
+// never copies or out-of-bounds views), survives a re-encode /
+// re-decode round trip unchanged, and decodes the same through a
+// connection's reused decoder as fresh — the properties the node loop
+// relies on.
 func FuzzDecodeFrame(f *testing.F) {
 	enc := func(fr Frame) []byte {
 		b, err := EncodeFrame(fr)
@@ -66,5 +70,39 @@ func FuzzDecodeFrame(f *testing.F) {
 		if !sameFrame(back, frame) {
 			t.Fatalf("round trip changed frame: %+v → %+v", frame, back)
 		}
+		if data[0] == frameMagic {
+			checkReusedDecode(t, data, frame)
+		}
 	})
+}
+
+// checkReusedDecode reads a binary frame twice off one connection
+// through one decoder: both reads must agree with the fresh decode, and
+// the first read's fwd/mig payloads must survive the second read and
+// the decoder's buffers being overwritten — the pair keeps them.
+func checkReusedDecode(t *testing.T, data []byte, fresh Frame) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(append(slices.Clip(data), data...)))
+	var dec frameDecoder
+	var kept [][]byte
+	for i := 0; i < 2; i++ {
+		got, err := readFrame(br, &dec)
+		if err != nil || !sameFrame(got, fresh) {
+			t.Fatalf("read %d through a reused decoder: %+v, %v; fresh decode %+v", i, got, err, fresh)
+		}
+		if i == 0 {
+			kept = slices.Clone(got.Items)
+		}
+	}
+	clear(dec.items)
+	for i := range dec.body {
+		dec.body[i] ^= 0xFF
+	}
+	if keepsPayload(data[1]) {
+		for i, it := range kept {
+			if !bytes.Equal(it, fresh.Items[i]) {
+				t.Fatalf("item %d changed under a reused decoder: %q, want %q", i, it, fresh.Items[i])
+			}
+		}
+	}
 }

@@ -55,11 +55,14 @@ func chunkEnd(items [][]byte, off int) int {
 // across the fleet ("" on an open fleet) so the owning node charges the
 // right buffer budget.
 type Backend interface {
+	// IngestForwarded admits a peer's forwarded items. The items slice
+	// is the caller's; the payloads may be kept.
 	IngestForwarded(tenant, key string, items [][]byte) (server.IngestResult, error)
 	// IngestHandoff admits migrated items. cont marks a continuation of
 	// a hand-off already under way (a later chunk, or a requeue retry of
 	// a previously failed ship) so stream-level migration counters are
-	// bumped once per hand-off, not once per frame.
+	// bumped once per hand-off, not once per frame. The items slice is
+	// the caller's; the payloads may be kept.
 	IngestHandoff(tenant, key string, items [][]byte, cont bool) (server.IngestResult, error)
 	// DetachStream also reports the tenant the stream was bound to, so
 	// the hand-off keeps its attribution at the new owner.
@@ -126,7 +129,8 @@ type peerConn struct {
 	mu   sync.Mutex
 	c    net.Conn
 	br   *bufio.Reader
-	wbuf []byte // encode buffer, reused across exchanges
+	wbuf []byte       // encode buffer, reused across exchanges
+	dec  frameDecoder // ack decode state, reused across exchanges
 }
 
 // Node is one pcd process's cluster presence: it serves the wire
@@ -503,12 +507,14 @@ func (n *Node) handleConn(c net.Conn) {
 	}()
 	br := bufio.NewReaderSize(c, readBufSize)
 	var wbuf []byte
+	var dec frameDecoder
 	for {
-		f, err := readFrame(br)
+		f, err := readFrame(br, &dec)
 		var resp Frame
 		switch {
 		case err == nil:
 			resp = n.handleFrame(f)
+			clear(dec.items) // reused headers must not pin the frame's slab
 		case errors.Is(err, errFrame):
 			resp = n.errorFrame(err.Error())
 		default:
@@ -662,7 +668,7 @@ func (n *Node) exchange(pc *peerConn, f Frame) (resp Frame, wrote bool, err erro
 	}
 	if err == nil {
 		wrote = true
-		if resp, err = readFrame(pc.br); err == io.EOF {
+		if resp, err = readFrame(pc.br, &pc.dec); err == io.EOF {
 			err = errors.New("cluster: peer closed connection")
 		}
 	}

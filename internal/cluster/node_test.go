@@ -138,7 +138,7 @@ func twoNodes(t *testing.T, f1, f2 *fakeBackend, fleet1, fleet2 *FleetConfig) (*
 	return n1, n2
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -259,7 +259,7 @@ func newFlakyPeer(t *testing.T) *flakyPeer {
 			}
 			go func() {
 				defer c.Close()
-				if f, err := readFrame(bufio.NewReader(c)); err == nil {
+				if f, err := readFrame(bufio.NewReader(c), nil); err == nil {
 					p.mu.Lock()
 					p.frames = append(p.frames, f)
 					p.mu.Unlock()
@@ -559,7 +559,7 @@ func TestHandleConnFramesOwnTheirSlab(t *testing.T) {
 	br := bufio.NewReader(c)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for i := 0; i < 2; i++ {
-		ack, err := readFrame(br)
+		ack, err := readFrame(br, nil)
 		if err != nil || ack.Type != FrameForwardAck || ack.Accepted != 8 {
 			t.Fatalf("ack %d: %+v, %v", i, ack, err)
 		}

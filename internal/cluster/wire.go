@@ -19,12 +19,12 @@
 //	seq, accepted, shed, quarantined, itemCount   uint32 each
 //	itemCount × ( len(4) + payload )
 //
-// A reader checks bodyLen against MaxFrameBytes before allocating,
-// reads the body into one slab allocated for that frame, and returns
-// the items as cap-clipped sub-slices of it: a forwarded batch reaches
-// PutBatch without a per-item copy. The slab is never a reused read
-// buffer — the receiving pair retains the items until its drain — and
-// a frame is acted on only once it has been read in full.
+// A reader checks bodyLen against MaxFrameBytes before allocating and
+// acts on a frame only once it has been read in full. Ack frames (fok,
+// mok, err) are decoded from the connection's reused buffer. A fwd or
+// mig body gets one slab of its own, its items cap-clipped sub-slices
+// of it: a forwarded batch reaches PutBatch without a per-item copy,
+// and the receiving pair keeps the payloads until its drain.
 //
 // The same connections carry forwarded ingest items and migration
 // hand-offs, so a stream's items arrive at the new owner in the order
@@ -200,15 +200,41 @@ func DecodeFrame(b []byte) (Frame, error) {
 	if len(b) < headerLen || int(binary.BigEndian.Uint32(b[2:])) != len(b)-headerLen {
 		return Frame{}, fmt.Errorf("%w: length mismatch", errFrame)
 	}
-	return decodeData(b[1], b[headerLen:])
+	return decodeData(nil, b[1], b[headerLen:])
+}
+
+// frameDecoder is one connection's decode state, reused from frame to
+// frame. A nil *frameDecoder decodes into fresh memory.
+type frameDecoder struct {
+	strs  map[string]string // interned From, Key and Tenant
+	items [][]byte          // the last frame's item headers
+	body  []byte            // the last ack's body
+}
+
+const maxInternedKeys = 1024 // bounds strs, as on the raw-TCP face
+
+// intern returns b as a string, copied only the first time d sees it.
+func (d *frameDecoder) intern(b []byte) string {
+	if d == nil {
+		return string(b)
+	}
+	s, ok := d.strs[string(b)]
+	if !ok {
+		if d.strs == nil || len(d.strs) >= maxInternedKeys {
+			d.strs = make(map[string]string)
+		}
+		s = string(b)
+		d.strs[s] = s
+	}
+	return s
 }
 
 // readFrame reads the next frame off a connection, sniffing its framing
-// from the first byte. A binary frame's Items alias a slab allocated
-// for that frame alone, so the caller may retain them. An error wrapping
-// errFrame leaves the stream in sync (the frame was consumed whole);
-// any other error does not.
-func readFrame(br *bufio.Reader) (Frame, error) {
+// from the first byte, and decodes it through d. The Items slice is
+// d's; only a fwd or mig frame's payloads may outlive the next read.
+// An error wrapping errFrame leaves the stream in sync (the frame was
+// consumed whole); any other error does not.
+func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
 	first, err := br.Peek(1)
 	if err != nil {
 		return Frame{}, err
@@ -242,11 +268,22 @@ func readFrame(br *bufio.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %d-byte body declared", errTooLong, n)
 	}
 	br.Discard(headerLen)
-	slab := make([]byte, n)
-	if _, err := io.ReadFull(br, slab); err != nil {
+	var body []byte
+	if d != nil && n <= maxKeptBuf && !keepsPayload(typ) {
+		d.body = slices.Grow(d.body[:0], int(n))[:n]
+		body = d.body
+	} else {
+		body = make([]byte, n)
+	}
+	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, unexpectedEOF(err)
 	}
-	return decodeData(typ, slab)
+	return decodeData(d, typ, body)
+}
+
+// keepsPayload: fwd and mig payloads go into a pair, which keeps them.
+func keepsPayload(typ byte) bool {
+	return int(typ) < len(dataTypes) && (dataTypes[typ] == FrameForward || dataTypes[typ] == FrameMigrate)
 }
 
 // unexpectedEOF marks an end of stream inside a frame, so it reads as a
@@ -258,9 +295,10 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// decodeData parses a binary frame's body. Items are cap-clipped
-// sub-slices of body: appending to one can never reach its neighbour.
-func decodeData(typ byte, body []byte) (Frame, error) {
+// decodeData parses a binary frame's body through d. Items are
+// cap-clipped sub-slices of body: appending to one can never reach its
+// neighbour.
+func decodeData(d *frameDecoder, typ byte, body []byte) (Frame, error) {
 	if typ == 0 || int(typ) >= len(dataTypes) {
 		return Frame{}, fmt.Errorf("%w: unknown type %d", errFrame, typ)
 	}
@@ -278,7 +316,11 @@ func decodeData(typ byte, body []byte) (Frame, error) {
 		if n > s.max || n > len(body)-off {
 			return Frame{}, fmt.Errorf("%w: oversized field", errFrame)
 		}
-		*s.dst = string(body[off : off+n])
+		if s.dst == &f.Error {
+			f.Error = string(body[off : off+n]) // free text: not interned
+		} else {
+			*s.dst = d.intern(body[off : off+n])
+		}
 		off += n
 	}
 	var count int
@@ -301,7 +343,10 @@ func decodeData(typ byte, body []byte) (Frame, error) {
 	if (f.Type == FrameForward || f.Type == FrameMigrate) && f.Key == "" {
 		return Frame{}, fmt.Errorf("%w: %s without key", errFrame, f.Type)
 	}
-	if count > 0 {
+	if count > 0 && d != nil {
+		d.items = slices.Grow(d.items[:0], count)[:count]
+		f.Items = d.items
+	} else if count > 0 {
 		f.Items = make([][]byte, count)
 	}
 	for i := range f.Items {

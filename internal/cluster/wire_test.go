@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -79,16 +80,45 @@ func TestFrameRoundTrip(t *testing.T) {
 		stream = append(stream, b...)
 	}
 	// The same frames back to back on one connection: the sniff keeps
-	// the two framings apart and every frame ends where the next begins.
+	// the two framings apart and every frame ends where the next begins,
+	// decoded through the connection's reused state.
 	br := bufio.NewReaderSize(bytes.NewReader(stream), 16)
+	var dec frameDecoder
 	for _, f := range frames {
-		got, err := readFrame(br)
+		got, err := readFrame(br, &dec)
 		if err != nil || !sameFrame(got, f) {
 			t.Fatalf("stream read %q: got %+v, %v", f.Type, got, err)
 		}
 	}
-	if _, err := readFrame(br); err != io.EOF {
+	if _, err := readFrame(br, &dec); err != io.EOF {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestFrameDecoderInternIsBounded: a connection's string table never
+// holds more than maxInternedKeys entries however many distinct keys a
+// peer sends, every key still decodes to its own value, and a frame
+// whose strings the table already holds decodes without allocating.
+func TestFrameDecoderInternIsBounded(t *testing.T) {
+	var dec frameDecoder
+	for i := 0; i < 3*maxInternedKeys; i++ {
+		key := fmt.Sprintf("k%d", i)
+		b := rawFrame(2, "n2", key, "", "", [5]uint32{0, 1, 0, 0, 0})
+		f, err := decodeData(&dec, b[1], b[headerLen:])
+		if err != nil || f.Key != key || f.From != "n2" {
+			t.Fatalf("frame %d: %+v, %v", i, f, err)
+		}
+		if len(dec.strs) > maxInternedKeys {
+			t.Fatalf("after %d keys the table holds %d, bound %d", i+1, len(dec.strs), maxInternedKeys)
+		}
+	}
+	fwd := rawFrame(1, "n1", "s", "acme", "", [5]uint32{0, 0, 0, 0, 2}, []byte("x"), []byte("y"))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := decodeData(&dec, fwd[1], fwd[headerLen:]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding a frame of known strings allocates %.1f times", allocs)
 	}
 }
 

@@ -42,3 +42,28 @@ func TestUnboundedOpsAllocFree(t *testing.T) {
 		t.Fatalf("Unbounded ops allocate: %.2f allocs/run", avg)
 	}
 }
+
+// TestDrainToScratchGrowsGeometrically: a consumer reusing one scratch
+// slice across drains that rise 1 → 4096 items pays one allocation per
+// doubling (13), not one per new high-water drain.
+func TestDrainToScratchGrowsGeometrically(t *testing.T) {
+	const top = 4096
+	pool := NewSegmentPool[int](2*top/64, 64)
+	q := NewUnbounded[int](pool, top)
+	items := make([]int, top)
+	var scratch []int
+	// AllocsPerRun warms up with one untimed call: each call starts
+	// from an empty scratch, so the timed one pays every growth again.
+	if allocs := testing.AllocsPerRun(1, func() {
+		scratch = nil
+		for n := 1; n <= top; n++ {
+			q.PushBatch(items[:n])
+			scratch = q.DrainTo(scratch[:0])
+		}
+	}); allocs > 13 {
+		t.Fatalf("drains rising 1 → %d allocated %.0f times, want ≤ 13", top, allocs)
+	}
+	if len(scratch) != top {
+		t.Fatalf("last drain returned %d items, want %d", len(scratch), top)
+	}
+}

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -227,7 +228,8 @@ func (u *Unbounded[T]) PopBatch(dst []T) int {
 
 // DrainTo pops every published item into dst (appending) and returns
 // the extended slice, publishing one consumed count for the whole
-// drain. Consumer goroutine only.
+// drain. Consumer goroutine only. A short dst regrows to a power of
+// two, so reused scratch allocates log2(high-water) times at most.
 func (u *Unbounded[T]) DrainTo(dst []T) []T {
 	avail := u.available()
 	if avail == 0 {
@@ -235,7 +237,7 @@ func (u *Unbounded[T]) DrainTo(dst []T) []T {
 	}
 	base := len(dst)
 	if free := cap(dst) - base; free < avail {
-		grown := make([]T, base, base+avail)
+		grown := make([]T, base, 1<<bits.Len(uint(base+avail-1)))
 		copy(grown, dst)
 		dst = grown
 	}

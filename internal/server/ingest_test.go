@@ -498,9 +498,9 @@ func TestOverflowWaitOutlastsBusyManager(t *testing.T) {
 	}
 }
 
-// quarantinedServer hosts one stream, "q", whose consumer always fails
+// quarantinedServer hosts one stream, key, whose consumer always fails
 // and whose breaker is already open.
-func quarantinedServer(t *testing.T) *Server {
+func quarantinedServer(t *testing.T, key string) *Server {
 	t.Helper()
 	s, _ := newTestServer(t, Config{
 		HandlerFuncFor: func(string) func(context.Context, [][]byte) error {
@@ -512,7 +512,7 @@ func quarantinedServer(t *testing.T) *Server {
 		// A one-second slot keeps the breaker's half-open probe far away
 		// so asserts cannot race into the probe window.
 	}, repro.WithSlotSize(time.Second), repro.WithMaxLatency(5*time.Second), repro.WithBuffer(2))
-	st, err := s.streamFor("q", "")
+	st, err := s.streamFor(key, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func quarantinedServer(t *testing.T) *Server {
 // TestQuarantinedPairNeverWaits: an open breaker is not an overflow —
 // the answer is an immediate 503.
 func TestQuarantinedPairNeverWaits(t *testing.T) {
-	s := quarantinedServer(t)
+	s := quarantinedServer(t, "q")
 	status, _, _ := postLines(t, "http://"+s.Addr(), "q", []string{"a", "b", "c", "d"})
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", status)

@@ -45,7 +45,7 @@ func TestIngestHandoffCountsStreamsNotChunks(t *testing.T) {
 // items as Quarantined, not fold them into Shed — the conservation
 // ledger separates the two terms.
 func TestIngestHandoffClassifiesQuarantined(t *testing.T) {
-	s := quarantinedServer(t)
+	s := quarantinedServer(t, "q")
 	res, err := s.IngestHandoff("", "q", [][]byte{[]byte("m1"), []byte("m2")}, false)
 	if err != nil {
 		t.Fatal(err)

@@ -10,13 +10,13 @@
 //
 // Design rules, in order:
 //
-//   - A request costs one allocation, not several per item. The body
-//     (HTTP) or the payloads of one read (raw TCP) are copied once into
-//     a slab, the items are sub-slices of it, and the whole batch goes
-//     to its pair in one PutBatch. The handler contract this implies:
-//     the items of one request share a backing array, so a handler that
-//     retains one item retains that request's slab (at most
-//     MaxBodyBytes).
+//   - A request allocates one slab and nothing else of this package's:
+//     the body (HTTP) or the payloads of one read (raw TCP) are copied
+//     into it once, the items are sub-slices of it, the batch goes to
+//     its pair in one PutBatch, and headers and the verdict reuse pooled
+//     memory; the rest is net/http's own. The handler contract this
+//     implies: a handler that retains one item retains that request's
+//     slab (at most MaxBodyBytes).
 //   - A full pair is backpressure before it is loss. The overflowing
 //     PutBatch has already forced the drain (the paper's overflow
 //     wakeup, §V), so the producer waits for it: the unadmitted tail is
@@ -46,7 +46,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,7 +245,16 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	s.registerDebug(mux)
-	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	// A clean ingest path skips the mux's trailing-slash match, which
+	// allocates; every path the mux would clean or redirect reaches it.
+	ingestFirst := func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.Path; strings.HasPrefix(p, "/ingest/") && path.Clean(p) == p {
+			s.handleIngest(w, r)
+		} else {
+			mux.ServeHTTP(w, r)
+		}
+	}
+	s.httpSrv = &http.Server{Handler: http.HandlerFunc(ingestFirst), ReadHeaderTimeout: 10 * time.Second}
 	return s, nil
 }
 
@@ -458,23 +469,53 @@ func splitItems(dst [][]byte, body []byte) [][]byte {
 	return dst
 }
 
-// itemHeaders recycles the per-request slice of item headers: nothing
-// downstream of routedIngest keeps the slice (pairs copy the headers
+// itemHeaders recycles each request's item headers and verdict buffer:
+// nothing downstream of routedIngest keeps the headers (pairs copy them
 // into their rings, Router.Forward encodes them), only the payloads.
-var itemHeaders = sync.Pool{New: func() any { return new([][]byte) }}
+var itemHeaders = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+type ingestScratch struct {
+	items [][]byte
+	ack   []byte
+}
+
+// jsonContentType is shared so that setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
 
 // readBody reads one ingest body into a single slab: exactly sized
-// when the client declared a length within the limit, grown by
-// io.ReadAll for chunked bodies — and for a declared length over the
-// limit, which MaxBytesReader then refuses as it always did.
+// when the client declared a length within the limit (net/http bounds
+// the body at it), grown by io.ReadAll for chunked bodies — and for a
+// declared length over the limit, which MaxBytesReader then refuses.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
 		slab := make([]byte, n)
-		_, err := io.ReadFull(body, slab)
+		_, err := io.ReadFull(r.Body, slab)
 		return slab, err
 	}
-	return io.ReadAll(body)
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+}
+
+// writeVerdict writes an ingest verdict, rendered into buf (returned
+// for reuse) exactly as %q and %d print it: 503 when any item met a
+// quarantined pair, else 429 when any was shed, else 200.
+func writeVerdict(w http.ResponseWriter, buf []byte, key string, res IngestResult, route Route) []byte {
+	buf = strconv.AppendQuote(append(buf[:0], `{"stream":`...), key)
+	buf = strconv.AppendInt(append(buf, `,"accepted":`...), int64(res.Accepted), 10)
+	buf = strconv.AppendInt(append(buf, `,"shed":`...), int64(res.Shed), 10)
+	buf = strconv.AppendInt(append(buf, `,"quarantined":`...), int64(res.Quarantined), 10)
+	if !route.Local {
+		buf = strconv.AppendQuote(append(buf, `,"owner":`...), route.Owner)
+	}
+	buf = append(buf, "}\n"...)
+	w.Header()["Content-Type"] = jsonContentType
+	switch {
+	case res.Quarantined > 0:
+		w.WriteHeader(http.StatusServiceUnavailable)
+	case res.Shed > 0:
+		w.WriteHeader(http.StatusTooManyRequests)
+	}
+	w.Write(buf)
+	return buf
 }
 
 // handleIngest serves POST /ingest/<key>: each newline-delimited body
@@ -512,12 +553,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "body read: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
-	headers := itemHeaders.Get().(*[][]byte)
-	items := splitItems((*headers)[:0], body)
+	scratch := itemHeaders.Get().(*ingestScratch)
+	items := splitItems(scratch.items[:0], body)
 	defer func(all [][]byte) {
 		clear(all) // a pooled header must not pin this request's slab
-		*headers = all[:0]
-		itemHeaders.Put(headers)
+		scratch.items = all[:0]
+		itemHeaders.Put(scratch)
 	}(items)
 	if len(items) == 0 {
 		http.Error(w, "empty body: newline-delimited items expected", http.StatusBadRequest)
@@ -536,9 +577,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			items = items[:adm]
 		}
 		if len(items) == 0 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprintf(w, `{"stream":%q,"accepted":0,"shed":%d,"quarantined":0}`+"\n", key, rateShed)
+			scratch.ack = writeVerdict(w, scratch.ack, key, IngestResult{Shed: rateShed}, Route{Local: true})
 			return
 		}
 	}
@@ -570,19 +609,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.shedHTTP.Add(uint64(rateShed))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	switch {
-	case res.Quarantined > 0:
-		w.WriteHeader(http.StatusServiceUnavailable)
-	case res.Shed > 0:
-		w.WriteHeader(http.StatusTooManyRequests)
-	}
-	owner := ""
-	if !route.Local {
-		owner = fmt.Sprintf(`,"owner":%q`, route.Owner)
-	}
-	fmt.Fprintf(w, `{"stream":%q,"accepted":%d,"shed":%d,"quarantined":%d%s}`+"\n",
-		key, res.Accepted, res.Shed, res.Quarantined, owner)
+	scratch.ack = writeVerdict(w, scratch.ack, key, res, route)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

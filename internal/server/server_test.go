@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/tenant"
 )
 
 // newTestServer builds a runtime + server tuned for fast test drains.
@@ -282,6 +285,125 @@ func TestIngestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d", resp.StatusCode)
+	}
+}
+
+// serveHTTP sends one request through the server's whole HTTP handler,
+// dispatch included, and returns the recorded answer. hdr holds header
+// name, value pairs.
+func serveHTTP(s *Server, method, target, body string, hdr ...string) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(method, target, strings.NewReader(body))
+	for i := 0; i+1 < len(hdr); i += 2 {
+		r.Header.Set(hdr[i], hdr[i+1])
+	}
+	w := httptest.NewRecorder()
+	s.httpSrv.Handler.ServeHTTP(w, r)
+	return w
+}
+
+// TestIngestDispatch: ingest is served ahead of the mux only for clean
+// paths, so every path the mux cleans, redirects or refuses gets the
+// mux's own answer, and the ops routes stay on the mux.
+func TestIngestDispatch(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		method, target string
+		code           int
+		location       string
+	}{
+		{http.MethodPost, "/ingest/k", http.StatusOK, ""},
+		{http.MethodPost, "/ingest/./k", http.StatusMovedPermanently, "/ingest/k"},
+		{http.MethodPost, "/ingest//k", http.StatusMovedPermanently, "/ingest/k"},
+		{http.MethodPost, "/ingest/a/../k", http.StatusMovedPermanently, "/ingest/k"},
+		{http.MethodPost, "/ingest/./k?x=1", http.StatusMovedPermanently, "/ingest/k?x=1"},
+		{http.MethodPost, "/ingest/k/", http.StatusBadRequest, ""},
+		{http.MethodPost, "/ingest/", http.StatusBadRequest, ""},
+		{http.MethodPost, "/ingest", http.StatusMovedPermanently, "/ingest/"},
+		{http.MethodGet, "/ingest/k", http.StatusMethodNotAllowed, ""},
+		{http.MethodGet, "/healthz", http.StatusOK, ""},
+	} {
+		w := serveHTTP(s, tc.method, tc.target, "x")
+		if loc := w.Header().Get("Location"); w.Code != tc.code || loc != tc.location {
+			t.Errorf("%s %s: %d Location %q, want %d Location %q", tc.method, tc.target, w.Code, loc, tc.code, tc.location)
+		}
+	}
+}
+
+// verdictRef renders a verdict the way the ingest handler once did,
+// with fmt: the reference writeVerdict must match byte for byte.
+func verdictRef(key string, res IngestResult, route Route) string {
+	owner := ""
+	if !route.Local {
+		owner = fmt.Sprintf(`,"owner":%q`, route.Owner)
+	}
+	return fmt.Sprintf(`{"stream":%q,"accepted":%d,"shed":%d,"quarantined":%d%s}`+"\n",
+		key, res.Accepted, res.Shed, res.Quarantined, owner)
+}
+
+// rateShedRef is the fmt reference for a request the tenant's rate
+// budget shed whole.
+func rateShedRef(key string, shed int) string {
+	return fmt.Sprintf(`{"stream":%q,"accepted":0,"shed":%d,"quarantined":0}`+"\n", key, shed)
+}
+
+// stubRouter sends every key to one remote owner and answers every
+// forward with res.
+type stubRouter struct {
+	owner string
+	res   IngestResult
+}
+
+func (r *stubRouter) Resolve(string) Route { return Route{Owner: r.owner} }
+func (r *stubRouter) Forward(string, string, [][]byte) (IngestResult, error) {
+	return r.res, nil
+}
+func (r *stubRouter) Status() ClusterStatus { return ClusterStatus{} }
+
+// TestVerdictBytes pins the ingest verdict's bytes and status against
+// the fmt reference, for keys JSON must escape, with and without an
+// owner, at 200, 429 (rate-shed whole, and shed in part) and 503.
+func TestVerdictBytes(t *testing.T) {
+	owner := `n"2\é`
+	for i, key := range []string{"plain", `q"uote`, `back\slash`, "ünï-😀", "ctl\x01\x1f\x7f", "bad\xffutf8"} {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			target := "/ingest/" + url.PathEscape(key)
+			check := func(what string, w *httptest.ResponseRecorder, code int, want string) {
+				t.Helper()
+				if w.Code != code || w.Body.String() != want || w.Header().Get("Content-Type") != "application/json" {
+					t.Errorf("key %q, %s: %d %q (%s), want %d %q", key, what, w.Code, w.Body.String(), w.Header().Get("Content-Type"), code, want)
+				}
+			}
+			local := Route{Local: true}
+
+			open, _ := newTestServer(t, Config{})
+			check("accepted", serveHTTP(open, http.MethodPost, target, "a\nb"),
+				http.StatusOK, verdictRef(key, IngestResult{Accepted: 2}, local))
+
+			reg := testTenantRegistry(t, tenant.File{GlobalBuffer: 100, Tenants: []tenant.Spec{
+				{ID: "t", Keys: []string{"k"}, Rate: 0.001, Burst: 1, Buffer: 100},
+			}})
+			metered, _ := newTestServer(t, Config{Tenants: reg})
+			check("shed in part", serveHTTP(metered, http.MethodPost, target, "a\nb\nc", "X-Api-Key", "k"),
+				http.StatusTooManyRequests, verdictRef(key, IngestResult{Accepted: 1, Shed: 2}, local))
+			check("rate-shed whole", serveHTTP(metered, http.MethodPost, target, "a\nb", "X-Api-Key", "k"),
+				http.StatusTooManyRequests, rateShedRef(key, 2))
+
+			check("quarantined", serveHTTP(quarantinedServer(t, key), http.MethodPost, target, "a\nb"),
+				http.StatusServiceUnavailable, verdictRef(key, IngestResult{Quarantined: 2}, local))
+
+			routed, _ := newTestServer(t, Config{})
+			stub := &stubRouter{owner: owner}
+			routed.SetRouter(stub)
+			for code, res := range map[int]IngestResult{
+				http.StatusOK:                 {Accepted: 2},
+				http.StatusTooManyRequests:    {Accepted: 1, Shed: 1},
+				http.StatusServiceUnavailable: {Accepted: 1, Quarantined: 1},
+			} {
+				stub.res = res
+				check("forwarded", serveHTTP(routed, http.MethodPost, target, "a\nb"),
+					code, verdictRef(key, res, Route{Owner: owner}))
+			}
+		})
 	}
 }
 

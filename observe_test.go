@@ -528,15 +528,19 @@ func TestTimelineSharedWakeDrainOrder(t *testing.T) {
 	// a pair's reservedSlot of −1 means none.
 	time.Sleep(15 * time.Millisecond)
 	for iter := 0; iter < 50; iter++ {
-		seen := len(rt.TimelineDump())
 		_ = first.Put(iter)
 		_ = second.Put(iter)
 		// On the manager goroutine, so nothing fires in between: the
-		// later slot is registered first, both already in the past.
+		// later slot is registered first, both already in the past. The
+		// timeline mark is taken there too, after both reservations, so
+		// a drain left over from the previous iteration cannot land
+		// between the mark and the fire under test.
+		var seen int
 		m.run(func() {
 			slot := rt.planner.Track.Index(rt.now())
 			m.reserve(first.st, slot-1)
 			m.reserve(second.st, slot-2)
+			seen = len(rt.TimelineDump())
 		})
 		var drains []TimelineRecord
 		if !waitFor(t, 5*time.Second, func() bool {

@@ -92,9 +92,9 @@ func (p *Pair[T]) drainFault(final bool) drainReport {
 	}
 
 	batch := p.q.DrainTo(p.scratch[:0])
-	// scratch starts empty and DrainTo grows it to fit: it settles at
-	// the pair's largest drain, not at the arena's ceiling, and
-	// steady-state drains reuse it without allocating.
+	// scratch starts empty and DrainTo grows it in powers of two: it
+	// settles within 2× of the pair's largest drain, not at the arena's
+	// ceiling, and steady-state drains reuse it without allocating.
 	p.scratch = batch
 	rep.dequeued = len(batch)
 	if len(batch) == 0 {

@@ -19,6 +19,12 @@
 # sub-slices of one buffer; a relapse to per-item copies or a text
 # codec costs ≥ 1 alloc/item and fails here.
 #
+# The forward hop: BenchmarkForwardHop forwards 64-item batches from
+# one in-process node to another over loopback and counts every
+# allocation in the process. The receiving node's frame slab is the one
+# object a hop may cost (1/64 ≈ 0.016 allocs/item); a decode that
+# copies keys, item headers or ack bodies per frame fails here.
+#
 # The wakeup path: BenchmarkInvocation trickles items into four pairs
 # on one manager and reports allocs/invocation for the timer-driven
 # cycle (fire → gather due pairs → label → drain → plan → reserve →
@@ -70,4 +76,5 @@ budget_gate() {
 
 budget_gate item ./internal/server "server ingest" BenchmarkIngestHTTP:0.25 BenchmarkServeTCP:0.05
 budget_gate item ./internal/cluster "cluster wire codec" BenchmarkWireForward:0.05
+budget_gate item ./internal/cluster "cluster forward hop" BenchmarkForwardHop:0.02
 budget_gate invocation . "wakeup path" BenchmarkInvocation:0
