@@ -110,6 +110,47 @@ func TestPutBatchSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestPutWaitOverflowAllocFree: PutWait is the library's put path on a
+// full pair, so waiting out an overflow — force the drain, park on it,
+// wake, retry — must allocate nothing on a single-producer pair: the
+// drain's wake is an atomic load and a token send, and the producer's
+// stall timer is the pair's own.
+func TestPutWaitOverflowAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	const quota = 64
+	rt, err := New(WithSlotSize(5*time.Millisecond), WithMaxLatency(50*time.Millisecond), WithBuffer(quota), WithoutResizing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	pair, err := Open(rt, Batch(func([]int) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pair.Close()
+	// One more item than the quota holds: at least one overflow wait.
+	wait := func() {
+		for i := 0; i <= quota; i++ {
+			if err := pair.PutWait(i, time.Second); err != nil {
+				t.Errorf("PutWait(%d): %v", i, err)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		wait() // settle: the drain scratch reaches its quota-sized high water
+	}
+	const runs = 200
+	forced := rt.Stats().ForcedWakes
+	if avg := testing.AllocsPerRun(runs, wait); avg != 0 {
+		t.Fatalf("%.0f allocs per overflow wait, want 0", avg)
+	}
+	if got := rt.Stats().ForcedWakes - forced; got < runs {
+		t.Fatalf("%d forced drains in %d runs: the runs did not wait out overflows", got, runs+1)
+	}
+}
+
 // TestDeliveredItemsAreCollectable pins the other half of the memory
 // contract: once a batch's handler has returned, the pair keeps no
 // reference to its items. The drain scratch (and a redelivered batch's

@@ -87,9 +87,7 @@ func main() {
 		seq++
 		s := seq
 		seqMu.Unlock()
-		for monitor.Put(event{thread: th, kind: k, lock: lock, seq: s}) != nil {
-			time.Sleep(time.Millisecond)
-		}
+		monitor.PutWait(event{thread: th, kind: k, lock: lock, seq: s}, time.Second)
 	}
 	locks := []string{"mu", "cache", "log"}
 	injected := 0

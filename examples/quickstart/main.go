@@ -6,7 +6,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -40,14 +39,11 @@ func main() {
 	}
 	defer pair.Close()
 
-	// Produce 500 items over ~0.5s from this goroutine. Put never
-	// blocks; ErrOverflow means the buffer is full and a drain has
-	// already been forced — retry or shed.
+	// Produce 500 items over ~0.5s from this goroutine. A full buffer
+	// has already forced a drain; PutWait waits for it instead of
+	// shedding (Put never blocks and returns ErrOverflow).
 	for i := 0; i < 500; i++ {
-		msg := fmt.Sprintf("event-%03d", i)
-		for errors.Is(pair.Put(msg), repro.ErrOverflow) {
-			time.Sleep(time.Millisecond)
-		}
+		pair.PutWait(fmt.Sprintf("event-%03d", i), time.Second)
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(150 * time.Millisecond) // let the last slot fire

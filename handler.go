@@ -178,6 +178,10 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		handler: handler,
 		q:       q,
 	}
+	if !pc.concurrent {
+		p.waitTimer = time.NewTimer(time.Hour)
+		p.waitTimer.Stop()
+	}
 	planner := rt.planner
 	if pc.maxLatency != o.maxLatency {
 		own := *rt.planner
@@ -197,6 +201,7 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		maxRedeliver:   pc.maxRedeliver,
 		baseBackoff:    simtime.Duration(o.slotSize),
 		maxBackoff:     8 * simtime.Duration(pc.maxLatency),
+		wake:           make(chan struct{}, 1),
 	}
 	st.mgr.Store(rt.managerFor(id))
 	st.reservedSlot = -1

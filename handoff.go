@@ -1,7 +1,5 @@
 package repro
 
-import "time"
-
 // Handoff quiesce-drains the pair for a cross-process migration: it
 // detaches the pair from its core manager and closes it WITHOUT running
 // the consumer handler, returning every unprocessed item — a failed
@@ -22,9 +20,6 @@ import "time"
 // returns (nil, ErrClosed); like Close, it must not be called from a
 // manager goroutine (it blocks on one).
 func (p *Pair[T]) Handoff() ([]T, error) {
-	if p.st.closed.Swap(true) {
-		return nil, ErrClosed
-	}
 	var items []T
 	take := func() {
 		p.drainMu.Lock()
@@ -33,23 +28,15 @@ func (p *Pair[T]) Handoff() ([]T, error) {
 		items = p.q.DrainTo(items)
 		p.drainMu.Unlock()
 	}
-	ran := p.st.runOnOwner(func(m *manager) {
-		m.deregister(p.st)
-		take()
-	})
-	if !ran {
-		// The owning manager already stopped (Runtime.Close raced in):
-		// its final sweep drains through the handler, so only items it
-		// never saw are left to take here.
-		take()
+	// If the owning manager already stopped (Runtime.Close raced in), its
+	// final sweep drains through the handler, so only items it never saw
+	// are left to take.
+	if !p.shut(take, take) {
+		return nil, ErrClosed
 	}
 	if n := uint64(len(items)); n > 0 {
 		p.st.handedOff.Add(n)
 		p.rt.stats.handedOff.Add(n)
-	}
-	p.rt.removePair(p.st.id)
-	if obs := p.rt.opts.observer; obs != nil {
-		obs(Event{Kind: EventPairClose, Pair: p.st.id, At: time.Duration(p.rt.now())})
 	}
 	return items, nil
 }

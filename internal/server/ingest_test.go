@@ -379,8 +379,9 @@ func TestOverflowWaitsInsteadOfShedding(t *testing.T) {
 
 // wedgedServer's consumer blocks in its first invocation until release
 // is closed, so a full buffer never drains. The returned server already
-// has one item in the handler and an empty 8-item buffer.
-func wedgedServer(t *testing.T) (s *Server, rt *repro.Runtime, release chan struct{}) {
+// has one item of stream "wedged" in the handler and an empty buffer of
+// the given size.
+func wedgedServer(t *testing.T, buffer int) (s *Server, rt *repro.Runtime, release chan struct{}) {
 	t.Helper()
 	entered := make(chan struct{}, 1)
 	release = make(chan struct{})
@@ -394,7 +395,7 @@ func wedgedServer(t *testing.T) (s *Server, rt *repro.Runtime, release chan stru
 				<-release
 			}
 		},
-	}, repro.WithBuffer(8), repro.WithMaxLatency(4*time.Millisecond))
+	}, repro.WithBuffer(buffer), repro.WithMaxLatency(4*time.Millisecond))
 	t.Cleanup(func() {
 		select {
 		case <-release:
@@ -416,7 +417,7 @@ func wedgedServer(t *testing.T) (s *Server, rt *repro.Runtime, release chan stru
 // TestOverflowWaitIsBounded: with the consumer wedged the tail waits
 // the bound out — no less, and not much more — and is then shed.
 func TestOverflowWaitIsBounded(t *testing.T) {
-	s, _, _ := wedgedServer(t)
+	s, _, _ := wedgedServer(t, 8)
 	lines := make([]string, 11)
 	for i := range lines {
 		lines[i] = fmt.Sprintf("fill-%d", i)
@@ -438,6 +439,11 @@ func TestOverflowWaitIsBounded(t *testing.T) {
 	}
 	if got := s.overflowWaits[protoHTTP].Load(); got != 1 {
 		t.Fatalf("overflow waits = %d, want 1", got)
+	}
+	// Nothing drains, so nothing wakes the producer but the stall bound
+	// (a polling wait slept ≈ 21 times here).
+	if got := s.overflowWaitWakeups[protoHTTP].Load(); got < 1 || got > 2 {
+		t.Fatalf("the wait woke its producer %d times, want 1 or 2", got)
 	}
 	if got := s.shedHTTP.Load(); got != 3 {
 		t.Fatalf("shed_http = %d, want 3", got)
@@ -551,7 +557,7 @@ func TestQuarantinedPairNeverWaits(t *testing.T) {
 // gives up as soon as the server starts draining, so Shutdown is not
 // held for the bound.
 func TestShutdownCutsOverflowWaitShort(t *testing.T) {
-	s, rt, release := wedgedServer(t)
+	s, rt, release := wedgedServer(t, 8)
 	lines := make([]string, 12)
 	for i := range lines {
 		lines[i] = "x"

@@ -39,10 +39,11 @@ const (
 	protoHTTP proto = iota
 	protoTCP
 	protoFwd // forwarded by a peer over the cluster wire
+	protoMig // handed off by a pair migration, or requeued after a failed one
 	numProtos
 )
 
-var protoNames = [numProtos]string{"http", "tcp", "fwd"}
+var protoNames = [numProtos]string{"http", "tcp", "fwd", "mig"}
 
 // Route is the resolution of one stream key to its owning node.
 type Route struct {
@@ -150,11 +151,11 @@ func (s *Server) ingestLocal(src proto, tenantID, key string, items [][]byte) (I
 		}
 		// The stream was detached (migrated away) between lookup and
 		// Put, or while the tail waited out an overflow. Re-resolve: the
-		// router now points at the new owner; after a few tries fall back
-		// to a fresh local pair so items are never lost to a routing
-		// race.
+		// router now points at the new owner; after a few tries (at once
+		// for a hand-off) fall back to a fresh local pair so items are
+		// never lost to a routing race.
 		items = rest
-		if r := s.router; r != nil && attempt < 3 {
+		if r := s.router; r != nil && attempt < 3 && src != protoMig {
 			if rt := r.Resolve(key); !rt.Local {
 				if res, err := r.Forward(tenantID, key, items); err == nil {
 					total.add(res)
@@ -165,37 +166,39 @@ func (s *Server) ingestLocal(src proto, tenantID, key string, items [][]byte) (I
 	}
 }
 
-// overflowWaitBound is how long putAll keeps offering a pair the tail
-// it had no room for while the consumer side stands still, before
-// shedding it. The overflow has already forced the drain, but that
-// drain queues behind the round the pair's core manager is working
-// through, and a healthy round can outlast any fixed wall-clock bound
-// (p99 rounds of 38–101 ms under the saturating benchmark). So the
-// clock restarts whenever the manager completes a handler invocation:
-// the bound is what a producer pays when the consumer is wedged, not
-// when it is busy.
-const overflowWaitBound = 50 * time.Millisecond
+// overflowWaitBound is putAll's stall bound: how long the pair's core
+// manager may complete no handler invocation before the tail that found
+// the pair full is shed. The forced drain queues behind the manager's
+// current round, and a healthy round can outlast any fixed wall-clock
+// bound (p99 rounds of 38–101 ms under the saturating benchmark), so the
+// bound is what a producer pays when the consumer is wedged, not busy.
+// Migrated items already survived one node and get handoffWaitBound.
+const (
+	overflowWaitBound = 50 * time.Millisecond
+	handoffWaitBound  = 250 * time.Millisecond
+)
 
 // putAll offers items to the stream's pair as one batch and returns the
 // verdict plus the items it could not place because the stream was
 // detached (the caller re-resolves those; everything else is accounted
 // in the verdict).
 //
-// A full pair is the paper's overflow (§V): PutBatch has woken the
-// consumer, and the producer waits for it — the unadmitted tail is
-// retried with PutWait's 50 µs→2 ms backoff until it fits or the pair's
-// manager has made no progress for overflowWaitBound, and only then
-// shed. A quarantined or closed pair and a draining server never wait.
-// The stream's read lock is dropped while sleeping, so a pending
-// DetachStream (a writer, which would stall every other reader behind
-// it) is delayed by one PutBatch, not by the wait.
+// A full pair is the paper's overflow (§V): PutBatch has forced the
+// drain, and the producer waits on it (Pair.AwaitDrain) and offers the
+// tail again until it fits; only once the manager stalls for the bound,
+// or Shutdown begins, is it shed. A quarantined or closed pair and a
+// draining server never wait. The stream's read lock is dropped while
+// waiting, so a pending DetachStream (a writer, which would stall every
+// other reader behind it) is delayed by one PutBatch, not by the wait.
 //
 // With a tenant registry the stream's tenant is charged first: items
 // beyond the elastic buffer grant are shed at the tenant layer before
 // the pair ever sees them (the tenant-fairness wall, which never
 // waits), grants that the pair then sheds are returned, and accepted
 // items stay charged until the consumer handler delivers them
-// (releaseCharged).
+// (releaseCharged). Migrated items (protoMig) were charged once already:
+// conservation outranks the wall, so what the pool cannot grant is
+// admitted uncharged (usage may undercount, never overcount).
 func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult, detached [][]byte) {
 	st.mu.RLock()
 	if st.detached {
@@ -209,55 +212,50 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 		// an item the instant it lands.
 		st.charged.Add(int64(grant))
 	}
-	res.Shed = len(items) - grant
-	rest := items[:grant]
-	var waitFrom, stallFrom time.Time
-	var progress uint64
-	backoff := 50 * time.Microsecond
+	rest, stall := items[:grant], overflowWaitBound
+	if src == protoMig {
+		rest, stall = items, handoffWaitBound
+	}
+	res.Shed = len(items) - len(rest)
+	var waitFrom time.Time
+	var wakeups uint64
 	for {
 		n, err := st.pair.PutBatch(rest)
 		res.Accepted += n
 		rest = rest[n:]
-		if !errors.Is(err, repro.ErrOverflow) {
-			// All placed, or a pair that waiting will not open.
-			if errors.Is(err, repro.ErrQuarantined) {
-				res.Quarantined += len(rest)
-			} else {
-				res.Shed += len(rest) // ErrClosed: draining
+		if errors.Is(err, repro.ErrOverflow) && !s.draining.Load() {
+			if waitFrom.IsZero() {
+				waitFrom = time.Now()
 			}
-			break
+			st.mu.RUnlock()
+			retry := st.pair.AwaitDrain(stall, s.stop)
+			wakeups++
+			st.mu.RLock()
+			if st.detached {
+				// DetachStream has already returned whatever the stream
+				// held charged, this call's unplaced grant included.
+				detached = rest
+				break
+			}
+			if retry {
+				continue
+			}
 		}
-		now := time.Now()
-		if waitFrom.IsZero() {
-			waitFrom = now
+		if errors.Is(err, repro.ErrQuarantined) {
+			res.Quarantined += len(rest)
+		} else {
+			res.Shed += len(rest) // closed, draining, or the consumer stood still
 		}
-		if p := st.pair.ManagerProgress(); stallFrom.IsZero() || p != progress {
-			progress, stallFrom = p, now
-		}
-		if s.draining.Load() || now.Sub(stallFrom) >= overflowWaitBound {
-			res.Shed += len(rest)
-			break
-		}
-		st.mu.RUnlock()
-		time.Sleep(backoff)
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
-		}
-		st.mu.RLock()
-		if st.detached {
-			// DetachStream has already returned whatever the stream held
-			// charged, this call's unplaced grant included.
-			detached = rest
-			break
-		}
+		break
 	}
 	st.mu.RUnlock()
 	if !waitFrom.IsZero() {
 		s.overflowWaits[src].Add(1)
 		s.overflowWaitNs[src].Add(int64(time.Since(waitFrom)))
+		s.overflowWaitWakeups[src].Add(wakeups)
 	}
 	if st.tn != nil {
-		st.releaseCharged(grant - res.Accepted) // unplaced items return their grant
+		st.releaseCharged(grant - min(res.Accepted, grant)) // unplaced items return their grant
 		st.tn.CountAccepted(res.Accepted)
 		st.tn.CountShedBuffer(res.Shed)
 		st.tn.CountQuarantined(res.Quarantined)
@@ -269,33 +267,25 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 // locally when owned, otherwise forward — falling back to local ingest
 // when the forward fails, so no item is ever lost to routing. The
 // returned Route lets HTTP callers answer redirects instead.
+//
+// A stream this node still hosts keeps ingesting locally even when the
+// router points elsewhere: the ownership sweep ships the whole backlog
+// (detach + hand-off) before any forward for the key can be sent, so the
+// new owner sees items in arrival order. Forwarding starts the moment the
+// stream is detached.
 func (s *Server) routedIngest(src proto, tenantID, key string, items [][]byte) (IngestResult, Route, error) {
-	r := s.router
-	if r == nil {
-		res, err := s.ingestLocal(src, tenantID, key, items)
-		return res, Route{Local: true}, err
+	if r := s.router; r != nil {
+		if route := r.Resolve(key); !route.Local && !s.hosts(key) {
+			if res, err := r.Forward(tenantID, key, items); err == nil {
+				s.forwardedOut.Add(uint64(len(items)))
+				return res, route, nil
+			}
+			// Owner unreachable: admit locally. The ownership sweep
+			// re-ships the stream once the owner is back (or the routing
+			// table moves on).
+			s.forwardFallbacks.Add(1)
+		}
 	}
-	route := r.Resolve(key)
-	if route.Local {
-		res, err := s.ingestLocal(src, tenantID, key, items)
-		return res, route, err
-	}
-	// A stream this node still hosts keeps ingesting locally even when
-	// the router points elsewhere: the ownership sweep ships the whole
-	// backlog (detach + hand-off) before any forward for the key can be
-	// sent, so the new owner sees items in arrival order. Forwarding
-	// starts the moment the stream is detached.
-	if s.hosts(key) {
-		res, err := s.ingestLocal(src, tenantID, key, items)
-		return res, Route{Local: true}, err
-	}
-	if res, err := r.Forward(tenantID, key, items); err == nil {
-		s.forwardedOut.Add(uint64(len(items)))
-		return res, route, nil
-	}
-	// Owner unreachable: admit locally. The ownership sweep re-ships
-	// the stream once the owner is back (or the routing table moves on).
-	s.forwardFallbacks.Add(1)
 	res, err := s.ingestLocal(src, tenantID, key, items)
 	return res, Route{Local: true}, err
 }
@@ -338,13 +328,14 @@ func (s *Server) IngestForwarded(tenant, key string, items [][]byte) (IngestResu
 	return res, err
 }
 
-// IngestHandoff admits items shipped by a cross-node pair migration.
-// Unlike the forwarding path it retries briefly on quota overflow
-// (PutWait): migrated items already survived one node, shedding them at
-// the door would turn every migration into item loss. Items still shed
-// after the wait — or rejected because the pair is quarantined or
-// draining — are classified in the verdict exactly as putAll would,
-// so the conservation ledger's Shed and Quarantined terms stay honest.
+// IngestHandoff admits items shipped by a cross-node pair migration (or
+// requeued by the sender after a failed one) through putAll, one batch
+// per attempt, with handoffWaitBound to wait out an overflow: shedding
+// migrated items at the door would turn every migration into item loss.
+// What is still shed, or meets a quarantined pair, is classified as for
+// any ingest, so the ledger's Shed and Quarantined terms stay honest. If
+// the stream detaches mid-wait, the tail lands in a fresh local pair: a
+// hand-off is never forwarded on.
 //
 // cont marks a continuation chunk of a hand-off already under way (a
 // later mig frame in one chunked ship, or a requeue retry of a
@@ -355,72 +346,17 @@ func (s *Server) IngestHandoff(tenant, key string, items [][]byte, cont bool) (I
 	if !s.validKey(key) {
 		return IngestResult{}, errors.New("bad stream key")
 	}
-	for attempt := 0; ; attempt++ {
-		st, err := s.streamFor(key, tenant)
-		if err != nil {
-			return IngestResult{}, err
-		}
-		res, ok := func() (IngestResult, bool) {
-			st.mu.RLock()
-			defer st.mu.RUnlock()
-			if st.detached {
-				return IngestResult{}, false
-			}
-			// Migrated items were admitted (and charged) once already:
-			// conservation outranks the tenant wall here, so the
-			// tenant is charged what the elastic pool can grant and
-			// any shortfall is admitted uncharged — usage may briefly
-			// undercount, never overcount, and the Σ usage ≤ global
-			// invariant holds.
-			var res IngestResult
-			grant := 0
-			if st.tn != nil {
-				grant = st.tn.AcquireBuffer(len(items))
-				st.charged.Add(int64(grant))
-			}
-			charged := 0
-			for i, item := range items {
-				closed := false
-				switch err := st.pair.PutWait(item, 250*time.Millisecond); {
-				case err == nil:
-					res.Accepted++
-					if i < grant {
-						charged++
-					}
-				case errors.Is(err, repro.ErrQuarantined):
-					res.Quarantined++
-				case errors.Is(err, repro.ErrClosed):
-					// Draining: remaining items count as shed.
-					res.Shed += len(items) - res.Accepted - res.Shed - res.Quarantined
-					closed = true
-				default:
-					res.Shed++
-				}
-				if closed {
-					break
-				}
-			}
-			if st.tn != nil {
-				st.releaseCharged(grant - charged)
-				st.tn.CountAccepted(res.Accepted)
-				st.tn.CountShedBuffer(res.Shed)
-				st.tn.CountQuarantined(res.Quarantined)
-			}
-			return res, true
-		}()
-		if ok {
-			s.migratedInItems.Add(uint64(res.Accepted))
-			if !cont {
-				s.migrationsIn.Add(1)
-			}
-			s.shedMigrate.Add(uint64(res.Shed))
-			s.quarantinedMigrate.Add(uint64(res.Quarantined))
-			return res, nil
-		}
-		if attempt >= 3 {
-			return IngestResult{}, errors.New("stream detached repeatedly")
-		}
+	res, err := s.ingestLocal(protoMig, tenant, key, items)
+	if err != nil {
+		return res, err
 	}
+	s.migratedInItems.Add(uint64(res.Accepted))
+	if !cont {
+		s.migrationsIn.Add(1)
+	}
+	s.shedMigrate.Add(uint64(res.Shed))
+	s.quarantinedMigrate.Add(uint64(res.Quarantined))
+	return res, nil
 }
 
 // DetachStream quiesce-drains the key's pair for migration to another

@@ -63,7 +63,7 @@ func TestIngestHandoffClassifiesQuarantined(t *testing.T) {
 
 // TestIngestHandoffClassifiesClosed pins the ErrClosed class: a
 // hand-off into a draining pair sheds the remaining items in one step
-// instead of paying the 250ms PutWait per item.
+// instead of waiting out the 250 ms hand-off bound.
 func TestIngestHandoffClassifiesClosed(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	if _, err := s.IngestHandoff("", "c", [][]byte{[]byte("a")}, false); err != nil {
@@ -117,5 +117,101 @@ func TestIngestHandoffAcceptsAndConserves(t *testing.T) {
 	}
 	if res.Shed == 0 {
 		t.Fatalf("verdict %+v, want overflow past the blocked handler shed", res)
+	}
+}
+
+// TestIngestHandoffAnswersWithinOneStallBound: a hand-off chunk that
+// meets a wedged consumer waits out one stall bound as a whole, not one
+// per item. The receiver runs IngestHandoff inline on the peer
+// connection, so a chunk that outlived the sender's call timeout was
+// booked in doubt though every item had been ingested or shed.
+func TestIngestHandoffAnswersWithinOneStallBound(t *testing.T) {
+	s, _, _ := wedgedServer(t, 2)
+	items := make([][]byte, 16)
+	for i := range items {
+		items[i] = []byte(fmt.Sprintf("item-%02d", i))
+	}
+	t0 := time.Now()
+	res, err := s.IngestHandoff("", "wedged", items, false)
+	elapsed := time.Since(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Accepted+res.Shed+res.Quarantined != len(items) || res.Shed == 0 {
+		t.Fatalf("verdict %+v, want all %d items classified, the overflow shed", res, len(items))
+	}
+	if elapsed < handoffWaitBound || elapsed >= 500*time.Millisecond {
+		t.Fatalf("hand-off answered after %v, want one %v stall bound", elapsed, handoffWaitBound)
+	}
+	if got := s.overflowWaits[protoMig].Load(); got != 1 {
+		t.Fatalf("mig overflow waits = %d, want 1", got)
+	}
+	if got := s.shedMigrate.Load(); got != uint64(res.Shed) {
+		t.Fatalf("shedMigrate = %d, want %d", got, res.Shed)
+	}
+}
+
+// TestDetachDuringHandoffWait: a hand-off waiting out an overflow does
+// not hold the stream's read lock, so a DetachStream queued behind it —
+// and, behind that writer, every other ingest on the stream — goes
+// ahead at once. The admitted head leaves with the detach, the tail
+// lands in a fresh local pair, and no item is lost or duplicated.
+func TestDetachDuringHandoffWait(t *testing.T) {
+	var col collector
+	s, rt := newTestServer(t, Config{
+		HandlerFor: func(key string) func([][]byte) {
+			h := col.handlerFor(key)
+			return func(batch [][]byte) {
+				// Slow, never stalled: every drain lands well inside the
+				// bound, so nothing is shed.
+				time.Sleep(handoffWaitBound / 3)
+				h(batch)
+			}
+		},
+	}, repro.WithBuffer(2), repro.WithoutResizing(), repro.WithMaxLatency(4*time.Millisecond))
+	items := make([][]byte, 16)
+	for i := range items {
+		items[i] = []byte(fmt.Sprintf("item-%02d", i))
+	}
+	type verdict struct {
+		res IngestResult
+		err error
+	}
+	done := make(chan verdict, 1)
+	go func() {
+		res, err := s.IngestHandoff("", "mig", items, false)
+		done <- verdict{res, err}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Stats().Overflows == 0 { // the hand-off is now in its wait
+		if time.Now().After(deadline) {
+			t.Fatal("hand-off never overflowed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	t0 := time.Now()
+	shipped, _, ok := s.DetachStream("mig")
+	if took := time.Since(t0); !ok || took >= handoffWaitBound {
+		t.Fatalf("DetachStream ok=%v after %v, want it inside the %v wait bound", ok, took, handoffWaitBound)
+	}
+	v := <-done
+	if v.err != nil || v.res != (IngestResult{Accepted: len(items)}) {
+		t.Fatalf("verdict %+v, %v; want all %d accepted", v.res, v.err, len(items))
+	}
+	col.waitFor(t, len(items)-len(shipped))
+	seen := map[string]int{}
+	for _, it := range shipped {
+		seen[string(it)]++
+	}
+	for _, it := range col.strings()["mig"] {
+		seen[it]++
+	}
+	for _, it := range items {
+		if n := seen[string(it)]; n != 1 {
+			t.Fatalf("%s delivered or shipped %d times, want once (shipped %d)", it, n, len(shipped))
+		}
+	}
+	if len(seen) != len(items) {
+		t.Fatalf("%d distinct items delivered or shipped, want %d", len(seen), len(items))
 	}
 }

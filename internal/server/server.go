@@ -19,15 +19,17 @@
 //     slab (at most MaxBodyBytes).
 //   - A full pair is backpressure before it is loss. The overflowing
 //     PutBatch has already forced the drain (the paper's overflow
-//     wakeup, §V), so the producer waits for it: the unadmitted tail is
-//     retried while the pair's core manager keeps completing handler
-//     invocations (and overflowWaitBound past the last one), HTTP
-//     delaying its ack and the raw-TCP reader not reading, so the
-//     kernel's flow control slows the sender. Only what still does not
-//     fit once the consumer side has stood still that long is shed
-//     (HTTP 429 / TCP silent drop) and counted. What never waits: the
-//     accept loops, other streams' requests, a quarantined or closed
-//     pair, the tenant walls, and a draining server.
+//     wakeup, §V), so the producer waits for it — parked on the pair
+//     (repro.Pair.AwaitDrain), woken by the drain, never by a polling
+//     clock — and offers the unadmitted tail again, for as long as the
+//     pair's core manager keeps completing handler invocations (and
+//     overflowWaitBound past the last one), HTTP delaying its ack and
+//     the raw-TCP reader not reading, so the kernel's flow control slows
+//     the sender. Only what still does not fit once the consumer side
+//     has stood still that long is shed (HTTP 429 / TCP silent drop) and
+//     counted. What never waits: the accept loops, other streams'
+//     requests, a quarantined or closed pair, the tenant walls, and a
+//     draining server.
 //   - Every stream key maps to one pair (the paper's one-producer-
 //     one-consumer pairing); pairs are created on first use and capped
 //     by the runtime's MaxPairs (exhaustion is 503, not 429 — the
@@ -199,6 +201,8 @@ type Server struct {
 	streams map[string]*stream
 
 	draining atomic.Bool
+	// stop closes when Shutdown begins, cutting overflow waits short.
+	stop chan struct{}
 
 	httpRequests    atomic.Uint64
 	ingestedHTTP    atomic.Uint64
@@ -210,9 +214,10 @@ type Server struct {
 	tcpMalformed    atomic.Uint64
 	streamRejects   atomic.Uint64
 	// Batches that found their pair full and waited for the forced
-	// drain (putAll), and how long in total, by entry protocol.
-	overflowWaits  [numProtos]atomic.Uint64
-	overflowWaitNs [numProtos]atomic.Int64
+	// drain (putAll), for how long, and their wakeups, by entry protocol.
+	overflowWaits       [numProtos]atomic.Uint64
+	overflowWaitNs      [numProtos]atomic.Int64
+	overflowWaitWakeups [numProtos]atomic.Uint64
 
 	// Cluster-path accounting (all zero on a clusterless server).
 	forwardedOut       atomic.Uint64 // items shipped to their owner
@@ -238,6 +243,7 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		streams: make(map[string]*stream),
 		conns:   make(map[net.Conn]struct{}),
+		stop:    make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ingest/", s.handleIngest)
@@ -312,6 +318,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.draining.Swap(true) {
 		return nil
 	}
+	close(s.stop)
 	var firstErr error
 	// Raw TCP: stop accepting, unblock readers, wait for handlers.
 	if s.tcpLn != nil {
@@ -755,12 +762,13 @@ type statusz struct {
 }
 
 // overflowWaitz is one protocol's row of the /statusz overflow-wait
-// table: batches that waited for a forced drain, and for how long —
-// slow acks with Shed still 0 mean the consumer is behind, not that
-// items are being lost.
+// table: batches that waited for a forced drain, for how long, and how
+// often the waits woke their producer — slow acks with Shed still 0
+// mean the consumer is behind, not that items are being lost.
 type overflowWaitz struct {
 	Waits   uint64  `json:"waits"`
 	Seconds float64 `json:"seconds"`
+	Wakeups uint64  `json:"wakeups"`
 }
 
 func (s *Server) overflowWaitStatus() map[string]overflowWaitz {
@@ -769,6 +777,7 @@ func (s *Server) overflowWaitStatus() map[string]overflowWaitz {
 		out[name] = overflowWaitz{
 			Waits:   s.overflowWaits[p].Load(),
 			Seconds: time.Duration(s.overflowWaitNs[p].Load()).Seconds(),
+			Wakeups: s.overflowWaitWakeups[p].Load(),
 		}
 	}
 	return out

@@ -116,6 +116,10 @@ type pairState struct {
 	// forcePending coalesces overflow force requests.
 	forcePending atomic.Bool
 	closed       atomic.Bool
+	// waiters counts producers blocked in AwaitDrain; wake holds their
+	// token (wakeProducers).
+	waiters atomic.Int32
+	wake    chan struct{}
 	// quarantined is true while the circuit breaker is open.
 	quarantined atomic.Bool
 	// degraded is set by the watchdog when a handler overruns its
@@ -175,6 +179,22 @@ func (st *pairState) countInvocation(rt *Runtime) {
 func (st *pairState) countFinal(rt *Runtime, rep drainReport) {
 	if rep.attempted > 0 {
 		st.countInvocation(rt)
+	}
+}
+
+// wakeProducers releases producers blocked in AwaitDrain after a drain,
+// close or quarantine; with none waiting it costs one atomic load.
+func (st *pairState) wakeProducers() {
+	if st.waiters.Load() > 0 {
+		st.passWake()
+	}
+}
+
+// passWake leaves a wake token, which each woken waiter passes on.
+func (st *pairState) passWake() {
+	select {
+	case st.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -238,16 +258,14 @@ type manager struct {
 	forcedWakes atomic.Uint64
 	// drains counts the consumer invocations this goroutine has
 	// completed, for any pair: it moves while the manager works through
-	// a round and stands still while a handler has it wedged (see
-	// Pair.ManagerProgress).
+	// a round and stands still while a handler has it wedged (the stall
+	// rule of Pair.AwaitDrain).
 	drains atomic.Uint64
 }
 
 func newManager(rt *Runtime, id int) *manager {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
+	t := time.NewTimer(time.Hour) // a fresh timer stops before it can fire
+	t.Stop()
 	return &manager{
 		rt:    rt,
 		id:    id,
@@ -277,12 +295,7 @@ func (m *manager) loop() {
 			if d < 0 {
 				d = 0
 			}
-			if !m.timer.Stop() {
-				select {
-				case <-m.timer.C:
-				default:
-				}
-			}
+			stopTimer(m.timer)
 			m.timer.Reset(d)
 			timerC = m.timer.C
 		}
@@ -303,8 +316,9 @@ func (m *manager) loop() {
 			p.forcePending.Store(false)
 			if p.mgr.Load() != m {
 				// Stale after migration. The quiesce drain already
-				// emptied the pair at hand-off; the next overflow
-				// re-forces at the current owner.
+				// emptied the pair at hand-off; a producer waiting on
+				// this force retries and re-forces at the current owner.
+				p.wakeProducers()
 				continue
 			}
 			if !p.closed.Load() {
@@ -483,6 +497,7 @@ func (m *manager) settle(p *pairState, rep drainReport, now simtime.Time) {
 			p.backoff = p.baseBackoff
 			p.quarantines.Add(1)
 			m.rt.stats.quarantines.Add(1)
+			p.wakeProducers() // their retry now fails fast
 			if cb := m.rt.opts.observer; cb != nil {
 				cb(Event{Kind: EventQuarantine, Pair: p.id, At: time.Duration(now)})
 			}

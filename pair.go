@@ -42,6 +42,10 @@ type Pair[T any] struct {
 	// stay empty unless the runtime was built WithHistograms.
 	stampScratch []int64
 	retryStamps  []int64
+
+	// waitTimer is the single producer's reused AwaitDrain stall timer;
+	// nil with ConcurrentProducers, whose producers each arm their own.
+	waitTimer *time.Timer
 }
 
 // ID returns the pair's runtime-assigned id, the key that joins this
@@ -92,6 +96,9 @@ func (p *Pair[T]) drainFault(final bool) drainReport {
 	}
 
 	batch := p.q.DrainTo(p.scratch[:0])
+	// The quota is free: waiting producers refill it while the handler
+	// runs (an empty drain too — an earlier one may have beaten them).
+	p.st.wakeProducers()
 	// scratch starts empty and DrainTo grows it in powers of two: it
 	// settles within 2× of the pair's largest drain, not at the arena's
 	// ceiling, and steady-state drains reuse it without allocating.
@@ -353,16 +360,19 @@ func (p *Pair[T]) kickIfUnarmed() {
 	}
 }
 
-// forceDrain requests an overflow-forced drain, coalescing requests.
-func (p *Pair[T]) forceDrain() {
+// forceDrain requests a forced drain, coalescing requests. It reports
+// false when the pair's manager has shut down.
+func (p *Pair[T]) forceDrain() bool {
 	if !p.st.forcePending.Swap(true) {
 		mgr := p.st.mgr.Load()
 		select {
 		case mgr.force <- p.st:
 		case <-mgr.done:
 			p.st.forcePending.Store(false)
+			return false
 		}
 	}
+	return true
 }
 
 // PairStats is a snapshot of one pair's counters.
@@ -403,14 +413,6 @@ func (p *Pair[T]) Len() int { return p.q.Len() }
 // Quota returns the pair's current elastic buffer capacity.
 func (p *Pair[T]) Quota() int { return p.q.Quota() }
 
-// ManagerProgress counts the consumer invocations the pair's core
-// manager has completed, for any of the pairs it serves. A producer
-// waiting out an overflow compares two readings to tell a consumer side
-// that is busy (the forced drain is queued behind the manager's current
-// round, and the count moves) from one that is wedged in a handler (it
-// does not).
-func (p *Pair[T]) ManagerProgress() uint64 { return p.st.mgr.Load().drains.Load() }
-
 // Quarantined reports whether the pair's circuit breaker is open.
 func (p *Pair[T]) Quarantined() bool { return p.st.quarantined.Load() }
 
@@ -420,25 +422,38 @@ func (p *Pair[T]) Quarantined() bool { return p.st.quarantined.Load() }
 // dropped and accounted (never retained), so after Close the pair's
 // ItemsIn == ItemsOut + Dropped. Close is idempotent.
 func (p *Pair[T]) Close() error {
-	if p.st.closed.Swap(true) {
-		return nil
-	}
-	ran := p.st.runOnOwner(func(m *manager) {
-		m.deregister(p.st)
+	p.shut(func() {
 		rep := p.drainFault(true)
 		if rep.attempted > 0 {
 			p.st.countInvocation(p.rt)
 			p.event(EventDrain, rep.delivered)
 		}
-	})
-	if !ran {
+	}, func() {
 		// Manager already stopped: it drained (or will drain) every
 		// pair it knew in finalDrain; catch only what is left here.
 		p.st.countFinal(p.rt, p.drainFault(true))
+	})
+	return nil
+}
+
+// shut closes the pair once, reporting false if it already was: it wakes
+// waiting producers, runs final on the owning manager with the pair off
+// its calendar (or stopped here, once that manager has shut down), and
+// unregisters the pair.
+func (p *Pair[T]) shut(final, stopped func()) bool {
+	if p.st.closed.Swap(true) {
+		return false
+	}
+	p.st.wakeProducers()
+	if !p.st.runOnOwner(func(m *manager) {
+		m.deregister(p.st)
+		final()
+	}) {
+		stopped()
 	}
 	p.rt.removePair(p.st.id)
 	if obs := p.rt.opts.observer; obs != nil {
 		obs(Event{Kind: EventPairClose, Pair: p.st.id, At: time.Duration(p.rt.now())})
 	}
-	return nil
+	return true
 }

@@ -2,28 +2,70 @@ package repro
 
 import "time"
 
-// PutWait buffers one item, blocking (with backoff) while the pair's
-// quota is exhausted, until the item is accepted, the timeout elapses,
-// or the pair closes. A zero or negative timeout makes a single
-// attempt, like Put. Every rejected attempt has already forced a
-// drain, so waiting is usually one slot long at most.
+// PutWait buffers one item, waiting out a full pair on the drain each
+// overflow forces (AwaitDrain). timeout is AwaitDrain's stall bound, not
+// a deadline: a busy consumer delays PutWait, and only one whose manager
+// completes no invocation for a whole timeout makes it return
+// ErrOverflow. A zero or negative timeout makes a single attempt, like
+// Put. A closed or quarantined pair fails fast (quarantine outlasts any
+// reasonable timeout), so callers shed or reroute instead.
 func (p *Pair[T]) PutWait(v T, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	backoff := 50 * time.Microsecond
 	for {
 		err := p.Put(v)
-		if err == nil || err == ErrClosed || err == ErrQuarantined {
-			// Quarantine outlasts any reasonable PutWait timeout (the
-			// breaker only closes on a successful probe): fail fast so
-			// callers shed or reroute instead of spinning.
+		if err != ErrOverflow || timeout <= 0 || !p.AwaitDrain(timeout, nil) {
 			return err
 		}
-		if timeout <= 0 || !time.Now().Before(deadline) {
-			return err
+	}
+}
+
+// AwaitDrain blocks a producer whose Put or PutBatch just returned
+// ErrOverflow until the manager drains the pair, the pair closes or is
+// quarantined — true: offer the items again, the retry reports which —
+// or until stop fires or the manager completes no invocation, for any
+// of its pairs, for stall — false: shed them. A manager busy elsewhere
+// is not a stall: AwaitDrain then returns true and the retry re-forces
+// the drain. A nil stop never fires. One drain wakes every waiting
+// producer; nothing polls. Without ConcurrentProducers only one
+// goroutine may wait at a time, and the wait allocates nothing.
+func (p *Pair[T]) AwaitDrain(stall time.Duration, stop <-chan struct{}) bool {
+	st := p.st
+	st.waiters.Add(1)
+	defer st.waiters.Add(-1)
+	mgr := st.mgr.Load()
+	progress := mgr.drains.Load()
+	// Registered, so every drain from here on leaves a wake token. Once
+	// the manager has taken the overflow's force, its drain may have come
+	// and gone before registration: retry.
+	if !st.forcePending.Load() || st.closed.Load() || st.quarantined.Load() {
+		return true
+	}
+	t := p.waitTimer
+	if t == nil {
+		t = time.NewTimer(time.Hour) // unfired, so Reset below is safe
+	}
+	t.Reset(stall)
+	defer stopTimer(t)
+	select {
+	case <-st.wake:
+		if st.waiters.Load() > 1 {
+			st.passWake() // the freed quota is every waiter's to retry for
 		}
-		time.Sleep(backoff)
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
+		return true
+	case <-mgr.done:
+		return true // runtime closed: the retry reports ErrClosed
+	case <-stop:
+		return false
+	case <-t.C:
+		return st.mgr.Load() != mgr || mgr.drains.Load() != progress
+	}
+}
+
+// stopTimer stops t and empties its channel so Reset can rearm it.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }
@@ -40,14 +82,8 @@ func (p *Pair[T]) Flush() error {
 		// A forced drain cannot jump the breaker's probe schedule.
 		return ErrQuarantined
 	}
-	if !p.st.forcePending.Swap(true) {
-		mgr := p.st.mgr.Load()
-		select {
-		case mgr.force <- p.st:
-		case <-mgr.done:
-			p.st.forcePending.Store(false)
-			return ErrClosed
-		}
+	if !p.forceDrain() {
+		return ErrClosed
 	}
 	return nil
 }

@@ -285,6 +285,7 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 					st.probeAt.Store(int64(now.Add(st.backoff)))
 					st.quarantines.Add(1)
 					rt.stats.quarantines.Add(1)
+					st.wakeProducers()
 					if cb := rt.opts.observer; cb != nil {
 						cb(Event{Kind: EventQuarantine, Pair: st.id, At: time.Duration(now)})
 					}

@@ -45,10 +45,22 @@ func TestMigrationConservationAndFIFO(t *testing.T) {
 	}
 
 	const items = 5000
+	var moved atomic.Uint64
 	producerDone := make(chan struct{})
 	go func() {
 		defer close(producerDone)
 		for i := 0; i < items; i++ {
+			// A producer that never sleeps can outrun the migrator, so
+			// it lets at least one hand-over land every quarter stream.
+			if i%(items/4) == 0 {
+				deadline := time.Now().Add(5 * time.Second)
+				for n := moved.Load(); moved.Load() == n; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("no migration landed before item %d", i)
+						return
+					}
+				}
+			}
 			if err := p.PutWait(i, time.Second); err != nil {
 				t.Errorf("put %d: %v", i, err)
 				return
@@ -64,6 +76,7 @@ func TestMigrationConservationAndFIFO(t *testing.T) {
 		default:
 			if rt.migrate(p.st, rt.managers[i%len(rt.managers)]) {
 				migrations++
+				moved.Add(1)
 			}
 			time.Sleep(500 * time.Microsecond)
 			continue
