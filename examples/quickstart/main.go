@@ -40,16 +40,21 @@ func main() {
 	defer pair.Close()
 
 	// Produce 500 items over ~0.5s from this goroutine. A full buffer
-	// has already forced a drain; PutWait waits for it instead of
-	// shedding (Put never blocks and returns ErrOverflow).
+	// has already forced a drain, and PutWait waits for it; it sheds the
+	// item (ErrOverflow) only once the consumer has completed nothing for
+	// a whole second, and at once on a closed or quarantined pair. (Put
+	// never blocks: it returns ErrOverflow straight away.)
+	shed := 0
 	for i := 0; i < 500; i++ {
-		pair.PutWait(fmt.Sprintf("event-%03d", i), time.Second)
+		if pair.PutWait(fmt.Sprintf("event-%03d", i), time.Second) != nil {
+			shed++
+		}
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(150 * time.Millisecond) // let the last slot fire
 
 	st := rt.Stats()
-	fmt.Printf("\nproduced %d items in %d batches\n", items, batches)
+	fmt.Printf("\nconsumed %d items in %d batches, %d shed\n", items, batches, shed)
 	fmt.Printf("timer wakeups: %d, forced (overflow) wakeups: %d\n", st.TimerWakes, st.ForcedWakes)
 	fmt.Printf("≈ %.1f items per wakeup — a channel-per-item design would have paid %d wakeups\n",
 		float64(st.ItemsOut)/float64(st.TimerWakes+st.ForcedWakes), st.ItemsOut)

@@ -179,8 +179,7 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		q:       q,
 	}
 	if !pc.concurrent {
-		p.waitTimer = time.NewTimer(time.Hour)
-		p.waitTimer.Stop()
+		p.waiter = newWaiter()
 	}
 	planner := rt.planner
 	if pc.maxLatency != o.maxLatency {
@@ -201,7 +200,6 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		maxRedeliver:   pc.maxRedeliver,
 		baseBackoff:    simtime.Duration(o.slotSize),
 		maxBackoff:     8 * simtime.Duration(pc.maxLatency),
-		wake:           make(chan struct{}, 1),
 	}
 	st.mgr.Store(rt.managerFor(id))
 	st.reservedSlot = -1

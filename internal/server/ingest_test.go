@@ -450,6 +450,76 @@ func TestOverflowWaitIsBounded(t *testing.T) {
 	}
 }
 
+// TestConcurrentOverflowWaitsAreBounded: a drain wakes every request
+// parked on the pair, once. When the consumer wedges right after that
+// drain, the requests whose retry finds the pair full again wait out the
+// stall bound and are shed — none keeps being woken with no drain
+// behind the wake.
+func TestConcurrentOverflowWaitsAreBounded(t *testing.T) {
+	entered, gate, release := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	s, rt := newTestServer(t, Config{
+		HandlerFor: func(string) func([][]byte) {
+			return func([][]byte) {
+				wedge := release
+				first.Do(func() { entered <- struct{}{}; wedge = gate })
+				<-wedge
+			}
+		},
+	}, repro.WithBuffer(2), repro.WithoutResizing(), repro.WithMaxLatency(4*time.Millisecond))
+	t.Cleanup(func() { close(release) })
+	base := "http://" + s.Addr()
+	if status, _, _ := postLines(t, base, "wedged", []string{"first"}); status != http.StatusOK {
+		t.Fatalf("first ingest status %d", status)
+	}
+	<-entered // the first invocation holds the consumer until gate closes
+	const n, perRequest = 4, 4
+	type answer struct {
+		res IngestResult
+		err error
+		at  time.Time
+	}
+	answers := make(chan answer, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			// The ingest path an HTTP request takes once its body is split.
+			items := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
+			res, _, err := s.routedIngest(protoHTTP, "", "wedged", items)
+			answers <- answer{res, err, time.Now()}
+		}()
+	}
+	// Every request is in its wait once all items but the quota's two
+	// have been turned away.
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Stats().Overflows < n*perRequest-2 {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never overflowed")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	// One drain, then the second invocation wedges for good.
+	drained := time.Now()
+	close(gate)
+	for i := 0; i < n; i++ {
+		select {
+		case a := <-answers:
+			if a.err != nil || a.res.Accepted+a.res.Shed != perRequest {
+				t.Fatalf("answer %+v, %v does not classify all %d items", a.res, a.err, perRequest)
+			}
+			if took := a.at.Sub(drained); took >= 4*overflowWaitBound {
+				t.Fatalf("a request answered %v after the last drain, want about one %v stall bound", took, overflowWaitBound)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d requests still waiting on a wedged consumer", n-i, n)
+		}
+	}
+	// Each request wakes for the drain and for its stall bound, plus once
+	// at most for a force the manager had already taken when it parked.
+	if got := s.overflowWaitWakeups[protoHTTP].Load(); got > 3*n {
+		t.Fatalf("%d requests woke %d times on one drain", n, got)
+	}
+}
+
 // TestOverflowWaitOutlastsBusyManager: the bound counts consumer stall,
 // not wall clock. One manager serves eight pairs due in one slot; seven
 // handlers take 10 ms each and the eighth pair, full, is drained last.

@@ -151,11 +151,11 @@ func (s *Server) ingestLocal(src proto, tenantID, key string, items [][]byte) (I
 		}
 		// The stream was detached (migrated away) between lookup and
 		// Put, or while the tail waited out an overflow. Re-resolve: the
-		// router now points at the new owner; after a few tries (at once
-		// for a hand-off) fall back to a fresh local pair so items are
-		// never lost to a routing race.
+		// router now points at the new owner; after a few tries fall back
+		// to a fresh local pair so items are never lost to a routing
+		// race.
 		items = rest
-		if r := s.router; r != nil && attempt < 3 && src != protoMig {
+		if r := s.router; r != nil && attempt < 3 {
 			if rt := r.Resolve(key); !rt.Local {
 				if res, err := r.Forward(tenantID, key, items); err == nil {
 					total.add(res)
@@ -267,25 +267,33 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 // locally when owned, otherwise forward — falling back to local ingest
 // when the forward fails, so no item is ever lost to routing. The
 // returned Route lets HTTP callers answer redirects instead.
-//
-// A stream this node still hosts keeps ingesting locally even when the
-// router points elsewhere: the ownership sweep ships the whole backlog
-// (detach + hand-off) before any forward for the key can be sent, so the
-// new owner sees items in arrival order. Forwarding starts the moment the
-// stream is detached.
 func (s *Server) routedIngest(src proto, tenantID, key string, items [][]byte) (IngestResult, Route, error) {
-	if r := s.router; r != nil {
-		if route := r.Resolve(key); !route.Local && !s.hosts(key) {
-			if res, err := r.Forward(tenantID, key, items); err == nil {
-				s.forwardedOut.Add(uint64(len(items)))
-				return res, route, nil
-			}
-			// Owner unreachable: admit locally. The ownership sweep
-			// re-ships the stream once the owner is back (or the routing
-			// table moves on).
-			s.forwardFallbacks.Add(1)
-		}
+	r := s.router
+	if r == nil {
+		res, err := s.ingestLocal(src, tenantID, key, items)
+		return res, Route{Local: true}, err
 	}
+	route := r.Resolve(key)
+	if route.Local {
+		res, err := s.ingestLocal(src, tenantID, key, items)
+		return res, route, err
+	}
+	// A stream this node still hosts keeps ingesting locally even when
+	// the router points elsewhere: the ownership sweep ships the whole
+	// backlog (detach + hand-off) before any forward for the key can be
+	// sent, so the new owner sees items in arrival order. Forwarding
+	// starts the moment the stream is detached.
+	if s.hosts(key) {
+		res, err := s.ingestLocal(src, tenantID, key, items)
+		return res, Route{Local: true}, err
+	}
+	if res, err := r.Forward(tenantID, key, items); err == nil {
+		s.forwardedOut.Add(uint64(len(items)))
+		return res, route, nil
+	}
+	// Owner unreachable: admit locally. The ownership sweep re-ships
+	// the stream once the owner is back (or the routing table moves on).
+	s.forwardFallbacks.Add(1)
 	res, err := s.ingestLocal(src, tenantID, key, items)
 	return res, Route{Local: true}, err
 }
@@ -333,9 +341,13 @@ func (s *Server) IngestForwarded(tenant, key string, items [][]byte) (IngestResu
 // per attempt, with handoffWaitBound to wait out an overflow: shedding
 // migrated items at the door would turn every migration into item loss.
 // What is still shed, or meets a quarantined pair, is classified as for
-// any ingest, so the ledger's Shed and Quarantined terms stay honest. If
-// the stream detaches mid-wait, the tail lands in a fresh local pair: a
-// hand-off is never forwarded on.
+// any ingest, so the ledger's Shed and Quarantined terms stay honest.
+//
+// The stream may detach while the chunk's tail waits (the wait does not
+// hold the stream lock). The tail is then forwarded to the new owner like
+// any detached tail, and lands behind the backlog the detach shipped: the
+// sweep holds the owner's connection from DetachStream until the last mig
+// frame is acknowledged, and the forward queues on that connection.
 //
 // cont marks a continuation chunk of a hand-off already under way (a
 // later mig frame in one chunked ship, or a requeue retry of a

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -151,11 +152,32 @@ func TestIngestHandoffAnswersWithinOneStallBound(t *testing.T) {
 	}
 }
 
+// nextOwner is the node a detached stream moves to. Its connection
+// lock stands for the sweep's hold on the owner's peer connection, from
+// DetachStream until the backlog's last mig frame is acknowledged:
+// forwards queue behind the hand-off on it.
+type nextOwner struct {
+	conn     sync.Mutex
+	received []string
+}
+
+func (o *nextOwner) Resolve(string) Route { return Route{Owner: "next"} }
+func (o *nextOwner) Forward(_, _ string, items [][]byte) (IngestResult, error) {
+	o.conn.Lock()
+	defer o.conn.Unlock()
+	for _, it := range items {
+		o.received = append(o.received, string(it))
+	}
+	return IngestResult{Accepted: len(items)}, nil
+}
+func (o *nextOwner) Status() ClusterStatus { return ClusterStatus{} }
+
 // TestDetachDuringHandoffWait: a hand-off waiting out an overflow does
 // not hold the stream's read lock, so a DetachStream queued behind it —
 // and, behind that writer, every other ingest on the stream — goes
-// ahead at once. The admitted head leaves with the detach, the tail
-// lands in a fresh local pair, and no item is lost or duplicated.
+// ahead at once. The admitted head leaves with the detach and the tail
+// is forwarded behind it, so no item is lost or duplicated and the
+// stream stays FIFO: delivered here, then shipped, then forwarded.
 func TestDetachDuringHandoffWait(t *testing.T) {
 	var col collector
 	s, rt := newTestServer(t, Config{
@@ -169,6 +191,8 @@ func TestDetachDuringHandoffWait(t *testing.T) {
 			}
 		},
 	}, repro.WithBuffer(2), repro.WithoutResizing(), repro.WithMaxLatency(4*time.Millisecond))
+	next := &nextOwner{}
+	s.SetRouter(next)
 	items := make([][]byte, 16)
 	for i := range items {
 		items[i] = []byte(fmt.Sprintf("item-%02d", i))
@@ -190,28 +214,33 @@ func TestDetachDuringHandoffWait(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	t0 := time.Now()
+	next.conn.Lock()
 	shipped, _, ok := s.DetachStream("mig")
-	if took := time.Since(t0); !ok || took >= handoffWaitBound {
+	took := time.Since(t0)
+	for _, it := range shipped {
+		next.received = append(next.received, string(it))
+	}
+	next.conn.Unlock()
+	if !ok || took >= handoffWaitBound {
 		t.Fatalf("DetachStream ok=%v after %v, want it inside the %v wait bound", ok, took, handoffWaitBound)
 	}
 	v := <-done
 	if v.err != nil || v.res != (IngestResult{Accepted: len(items)}) {
 		t.Fatalf("verdict %+v, %v; want all %d accepted", v.res, v.err, len(items))
 	}
-	col.waitFor(t, len(items)-len(shipped))
-	seen := map[string]int{}
-	for _, it := range shipped {
-		seen[string(it)]++
+	if len(next.received) == len(shipped) {
+		t.Fatal("the detach left no tail waiting: the test did not exercise the forward")
 	}
-	for _, it := range col.strings()["mig"] {
-		seen[it]++
+	here := len(items) - len(next.received)
+	col.waitFor(t, here)
+	got := append(col.strings()["mig"], next.received...)
+	if len(got) != len(items) {
+		t.Fatalf("%d items delivered here, shipped or forwarded, want %d", len(got), len(items))
 	}
-	for _, it := range items {
-		if n := seen[string(it)]; n != 1 {
-			t.Fatalf("%s delivered or shipped %d times, want once (shipped %d)", it, n, len(shipped))
+	for i, it := range got {
+		if want := string(items[i]); it != want {
+			t.Fatalf("item %d at its next stop is %s, want %s (delivered here %d, shipped %d, forwarded %d)",
+				i, it, want, here, len(shipped), len(next.received)-len(shipped))
 		}
-	}
-	if len(seen) != len(items) {
-		t.Fatalf("%d distinct items delivered or shipped, want %d", len(seen), len(items))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -116,10 +117,12 @@ type pairState struct {
 	// forcePending coalesces overflow force requests.
 	forcePending atomic.Bool
 	closed       atomic.Bool
-	// waiters counts producers blocked in AwaitDrain; wake holds their
-	// token (wakeProducers).
+	// parked holds the wake channels of producers blocked in AwaitDrain,
+	// under parkMu; waiters is its length, so a drain with nobody parked
+	// costs one atomic load (wakeProducers).
+	parkMu  sync.Mutex
+	parked  []chan struct{}
 	waiters atomic.Int32
-	wake    chan struct{}
 	// quarantined is true while the circuit breaker is open.
 	quarantined atomic.Bool
 	// degraded is set by the watchdog when a handler overruns its
@@ -182,20 +185,54 @@ func (st *pairState) countFinal(rt *Runtime, rep drainReport) {
 	}
 }
 
-// wakeProducers releases producers blocked in AwaitDrain after a drain,
-// close or quarantine; with none waiting it costs one atomic load.
+// wakeProducers releases the producers parked in AwaitDrain after a
+// drain, close or quarantine. Each is signalled once and unparked, so a
+// wake never outlives the event that sent it: a producer that parks
+// again waits for the next one. With none parked it costs one atomic
+// load.
 func (st *pairState) wakeProducers() {
-	if st.waiters.Load() > 0 {
-		st.passWake()
+	if st.waiters.Load() == 0 {
+		return
 	}
+	st.parkMu.Lock()
+	for i, wake := range st.parked {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+		st.parked[i] = nil
+	}
+	st.parked = st.parked[:0]
+	st.waiters.Store(0)
+	st.parkMu.Unlock()
 }
 
-// passWake leaves a wake token, which each woken waiter passes on.
-func (st *pairState) passWake() {
+// park registers a producer's wake channel, first emptying it of a
+// signal that lost the race against its previous wait's timer.
+func (st *pairState) park(wake chan struct{}) {
 	select {
-	case st.wake <- struct{}{}:
+	case <-wake:
 	default:
 	}
+	st.parkMu.Lock()
+	st.parked = append(st.parked, wake)
+	st.waiters.Store(int32(len(st.parked)))
+	st.parkMu.Unlock()
+}
+
+// unpark removes wake if no event has signalled it yet.
+func (st *pairState) unpark(wake chan struct{}) {
+	st.parkMu.Lock()
+	for i, c := range st.parked {
+		if c == wake {
+			last := len(st.parked) - 1
+			st.parked[i], st.parked[last] = st.parked[last], nil
+			st.parked = st.parked[:last]
+			break
+		}
+	}
+	st.waiters.Store(int32(len(st.parked)))
+	st.parkMu.Unlock()
 }
 
 // probeDue reports whether the next half-open probe time has arrived.
@@ -264,8 +301,10 @@ type manager struct {
 }
 
 func newManager(rt *Runtime, id int) *manager {
-	t := time.NewTimer(time.Hour) // a fresh timer stops before it can fire
-	t.Stop()
+	t := time.NewTimer(time.Hour)
+	if !t.Stop() {
+		<-t.C
+	}
 	return &manager{
 		rt:    rt,
 		id:    id,
@@ -295,7 +334,12 @@ func (m *manager) loop() {
 			if d < 0 {
 				d = 0
 			}
-			stopTimer(m.timer)
+			if !m.timer.Stop() {
+				select {
+				case <-m.timer.C:
+				default:
+				}
+			}
 			m.timer.Reset(d)
 			timerC = m.timer.C
 		}

@@ -43,9 +43,9 @@ type Pair[T any] struct {
 	stampScratch []int64
 	retryStamps  []int64
 
-	// waitTimer is the single producer's reused AwaitDrain stall timer;
-	// nil with ConcurrentProducers, whose producers each arm their own.
-	waitTimer *time.Timer
+	// waiter is the single producer's reused AwaitDrain state; nil with
+	// ConcurrentProducers, whose producers each make their own.
+	waiter *waiter
 }
 
 // ID returns the pair's runtime-assigned id, the key that joins this

@@ -24,40 +24,50 @@ func (p *Pair[T]) PutWait(v T, timeout time.Duration) error {
 // or until stop fires or the manager completes no invocation, for any
 // of its pairs, for stall — false: shed them. A manager busy elsewhere
 // is not a stall: AwaitDrain then returns true and the retry re-forces
-// the drain. A nil stop never fires. One drain wakes every waiting
-// producer; nothing polls. Without ConcurrentProducers only one
-// goroutine may wait at a time, and the wait allocates nothing.
+// the drain. A nil stop never fires. One drain wakes every producer
+// parked before it, once; nothing polls. Without ConcurrentProducers
+// only one goroutine may wait at a time, and the wait allocates nothing.
 func (p *Pair[T]) AwaitDrain(stall time.Duration, stop <-chan struct{}) bool {
 	st := p.st
-	st.waiters.Add(1)
-	defer st.waiters.Add(-1)
+	w := p.waiter
+	if w == nil {
+		w = newWaiter()
+	}
+	st.park(w.wake)
+	defer st.unpark(w.wake)
 	mgr := st.mgr.Load()
 	progress := mgr.drains.Load()
-	// Registered, so every drain from here on leaves a wake token. Once
-	// the manager has taken the overflow's force, its drain may have come
-	// and gone before registration: retry.
+	// Parked, so every drain from here on signals w. Once the manager has
+	// taken the overflow's force, its drain may have come and gone before
+	// that: retry.
 	if !st.forcePending.Load() || st.closed.Load() || st.quarantined.Load() {
 		return true
 	}
-	t := p.waitTimer
-	if t == nil {
-		t = time.NewTimer(time.Hour) // unfired, so Reset below is safe
-	}
-	t.Reset(stall)
-	defer stopTimer(t)
+	w.timer.Reset(stall)
+	defer stopTimer(w.timer)
 	select {
-	case <-st.wake:
-		if st.waiters.Load() > 1 {
-			st.passWake() // the freed quota is every waiter's to retry for
-		}
+	case <-w.wake:
 		return true
 	case <-mgr.done:
 		return true // runtime closed: the retry reports ErrClosed
 	case <-stop:
 		return false
-	case <-t.C:
+	case <-w.timer.C:
 		return st.mgr.Load() != mgr || mgr.drains.Load() != progress
 	}
+}
+
+// waiter is a producer's AwaitDrain state: the channel a drain signals
+// it on, and its stall timer (stopped, so Reset can arm it).
+type waiter struct {
+	wake  chan struct{}
+	timer *time.Timer
+}
+
+func newWaiter() *waiter {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{wake: make(chan struct{}, 1), timer: t}
 }
 
 // stopTimer stops t and empties its channel so Reset can rearm it.
