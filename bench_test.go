@@ -15,6 +15,7 @@ package repro
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,6 +224,36 @@ func BenchmarkLivePut(b *testing.B) {
 			time.Sleep(time.Microsecond)
 		}
 	}
+}
+
+// BenchmarkPutParallelPairs runs BenchmarkPut's loop from every
+// RunParallel goroutine at once, each the single producer of its own
+// pair. The producers share no pair, so a Put that also wrote a
+// runtime-wide counter would show here as ns/op that does not fall
+// with -cpu.
+func BenchmarkPutParallelPairs(b *testing.B) {
+	rt, err := New(WithSlotSize(5*time.Millisecond), WithMaxLatency(50*time.Millisecond), WithBuffer(1<<16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	pairs := make([]*Pair[int], runtime.GOMAXPROCS(0))
+	for i := range pairs {
+		if pairs[i], err = Open(rt, Batch(func([]int) {})); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next atomic.Int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pair := pairs[next.Add(1)-1]
+		for i := 0; pb.Next(); i++ {
+			for pair.Put(i) != nil {
+				time.Sleep(time.Microsecond)
+			}
+		}
+	})
 }
 
 // BenchmarkInvocation measures the consumer side the Put benchmarks

@@ -23,9 +23,11 @@ func (p *Pair[T]) Handoff() ([]T, error) {
 	var items []T
 	take := func() {
 		p.drainMu.Lock()
+		n := len(items)
 		items = append(items, p.retry...)
 		p.clearRetry()
 		items = p.q.DrainTo(items)
+		p.st.handedOff.Add(uint64(len(items) - n)) // before the pair retires
 		p.drainMu.Unlock()
 	}
 	// If the owning manager already stopped (Runtime.Close raced in), its
@@ -33,10 +35,6 @@ func (p *Pair[T]) Handoff() ([]T, error) {
 	// are left to take.
 	if !p.shut(take, take) {
 		return nil, ErrClosed
-	}
-	if n := uint64(len(items)); n > 0 {
-		p.st.handedOff.Add(n)
-		p.rt.stats.handedOff.Add(n)
 	}
 	return items, nil
 }

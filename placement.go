@@ -59,7 +59,7 @@ type PlacementState struct {
 	Enabled bool
 	// Plans counts completed planning rounds.
 	Plans uint64
-	// Migrations mirrors Stats.Migrations.
+	// Migrations is Stats.Migrations.
 	Migrations uint64
 	// LastPlan is the most recent plan (zero value until the first
 	// round completes).
@@ -73,8 +73,8 @@ type ManagerSnapshot struct {
 	ID int
 	// Pairs is the number of open pairs currently hosted here.
 	Pairs int
-	// TimerWakes / ForcedWakes are this manager's shares of the
-	// matching Stats totals.
+	// TimerWakes / ForcedWakes are this manager's wakes; the matching
+	// Stats totals are their sums over every manager.
 	TimerWakes  uint64
 	ForcedWakes uint64
 }
@@ -83,11 +83,9 @@ type ManagerSnapshot struct {
 // and how many wakeups it has paid, ordered by manager index.
 func (rt *Runtime) ManagerSnapshots() []ManagerSnapshot {
 	counts := make([]int, len(rt.managers))
-	rt.pairMu.Lock()
-	for _, st := range rt.pairs {
+	for _, st := range rt.openStates() {
 		counts[st.mgr.Load().id]++
 	}
-	rt.pairMu.Unlock()
 	snaps := make([]ManagerSnapshot, len(rt.managers))
 	for i, m := range rt.managers {
 		snaps[i] = ManagerSnapshot{
@@ -104,7 +102,7 @@ func (rt *Runtime) ManagerSnapshots() []ManagerSnapshot {
 // consolidation disabled only the Migrations counter is meaningful
 // (and stays zero).
 func (rt *Runtime) Placement() PlacementState {
-	st := PlacementState{Migrations: rt.stats.migrations.Load()}
+	st := PlacementState{Migrations: rt.migrations.Load()}
 	if rt.placer == nil {
 		return st
 	}
@@ -187,12 +185,7 @@ func (pc *placementController) step() {
 			pc.appliedScale = sc
 		}
 	}
-	rt.pairMu.Lock()
-	states := make([]*pairState, 0, len(rt.pairs))
-	for _, st := range rt.pairs {
-		states = append(states, st)
-	}
-	rt.pairMu.Unlock()
+	states := rt.openStates()
 	sort.Slice(states, func(i, j int) bool { return states[i].id < states[j].id })
 
 	pairs := make([]place.Pair, 0, len(states))
@@ -260,12 +253,9 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 			// Quarantined pairs move without a quiesce drain: running a
 			// known-broken handler inline on the source would re-block
 			// it, and the retained batch travels with the pair anyway.
-			rep := st.drainFault(false)
-			if rep.attempted > 0 {
-				st.countInvocation(rt)
-				if cb := rt.opts.observer; cb != nil {
-					cb(Event{Kind: EventDrain, Pair: st.id, At: time.Duration(now), Items: rep.delivered})
-				}
+			rep := st.drainFault(drainAside)
+			if cb := rt.opts.observer; cb != nil && rep.attempted > 0 {
+				cb(Event{Kind: EventDrain, Pair: st.id, At: time.Duration(now), Items: rep.delivered})
 			}
 			if rep.dequeued > 0 {
 				if dt := now.Sub(st.lastDrain); dt > 0 {
@@ -284,7 +274,6 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 					st.backoff = st.baseBackoff
 					st.probeAt.Store(int64(now.Add(st.backoff)))
 					st.quarantines.Add(1)
-					rt.stats.quarantines.Add(1)
 					st.wakeProducers()
 					if cb := rt.opts.observer; cb != nil {
 						cb(Event{Kind: EventQuarantine, Pair: st.id, At: time.Duration(now)})
@@ -301,7 +290,7 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 	if !moved.Load() {
 		return false
 	}
-	rt.stats.migrations.Add(1)
+	rt.migrations.Add(1)
 	now := rt.now()
 	if cb := rt.opts.observer; cb != nil {
 		cb(Event{Kind: EventMigrate, Pair: st.id, At: time.Duration(now), Manager: to.id})

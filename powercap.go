@@ -86,7 +86,7 @@ type PowerCapState struct {
 	// placement-budget multipliers (1 = unthrottled).
 	OmegaScale  float64
 	BudgetScale float64
-	// ThrottleEvents counts escalations (mirrors Stats.PowerThrottles).
+	// ThrottleEvents counts escalations; Stats.PowerThrottles reads it.
 	ThrottleEvents uint64
 }
 
@@ -214,5 +214,4 @@ func (pc *powerCapController) step() {
 	pc.state.Step = pc.ctl.StepIndex()
 	pc.state.Throttled = pc.ctl.Throttled()
 	pc.state.ThrottleEvents = pc.ctl.ThrottleEvents()
-	rt.stats.powerThrottles.Store(pc.state.ThrottleEvents)
 }

@@ -37,7 +37,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-0.5s}"
-benches='^(BenchmarkLivePut|BenchmarkLivePutBatch|BenchmarkPut)$'
+benches='^(BenchmarkLivePut|BenchmarkLivePutBatch|BenchmarkPut|BenchmarkPutParallelPairs)$'
 
 out="$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" -benchmem . | tee /dev/stderr)"
 

@@ -86,7 +86,10 @@ func TestPairSnapshotsChurn(t *testing.T) {
 					return
 				}
 				_ = rt.Placement()
-				_ = rt.Stats()
+				if st := rt.Stats(); st.ItemsOut > st.ItemsIn {
+					t.Errorf("stats: out %d > in %d", st.ItemsOut, st.ItemsIn)
+					return
+				}
 			}
 		}()
 	}
@@ -94,6 +97,27 @@ func TestPairSnapshotsChurn(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
+
+	// Every pair that ever opened is now retired or drained by Close:
+	// the runtime-wide ledger holds exactly, and the wake totals are the
+	// managers' sums.
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	if st.ItemsIn != st.ItemsOut+st.ItemsDropped+st.HandedOff {
+		t.Errorf("ledger: in %d != out %d + dropped %d + handed off %d",
+			st.ItemsIn, st.ItemsOut, st.ItemsDropped, st.HandedOff)
+	}
+	var timer, forced uint64
+	for _, m := range rt.ManagerSnapshots() {
+		timer += m.TimerWakes
+		forced += m.ForcedWakes
+	}
+	if st.TimerWakes != timer || st.ForcedWakes != forced {
+		t.Errorf("wakes: stats %d timer / %d forced, managers sum to %d / %d",
+			st.TimerWakes, st.ForcedWakes, timer, forced)
+	}
 }
 
 // TestRequestQuotaInvariantUnderResize drives the elastic buffer pool
