@@ -151,6 +151,79 @@ func TestPutWaitOverflowAllocFree(t *testing.T) {
 	}
 }
 
+// TestFirstOverflowWaitAllocFree: a single producer's first overflow
+// wait allocates nothing either. Its stall timer is built at Open and
+// its pair has room for one parked producer, so a pair that first
+// fills up long after it opened — inside a measured span — does not
+// allocate there. Each pair's drain scratch is grown first by a drain
+// without an overflow, so the count is the wait's alone.
+func TestFirstOverflowWaitAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	const quota, pairs = 64, 16
+	// Long slots: no scheduled drain empties a pair between its fill
+	// and the overflow.
+	rt, err := New(WithSlotSize(50*time.Millisecond), WithMaxLatency(500*time.Millisecond), WithBuffer(quota), WithoutResizing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	fill := func(pair *Pair[int]) {
+		for i := 0; i < quota; i++ {
+			if err := pair.Put(i); err != nil {
+				t.Fatalf("Put(%d): %v", i, err)
+			}
+		}
+	}
+	drained := func(pair *Pair[int]) {
+		if err := pair.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !waitFor(t, 2*time.Second, func() bool { st := pair.Stats(); return st.ItemsOut == st.ItemsIn }) {
+			t.Fatal("a forced drain never came")
+		}
+	}
+	// The first pairs only warm the process: its threads and the
+	// runtime's per-P caches of parked-goroutine records.
+	const warm = 8
+	allocated := 0 // pairs whose first wait allocated
+	var ms runtime.MemStats
+	for i := -warm; i < pairs; i++ {
+		pair, err := Open(rt, Batch(func([]int) {}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(pair)
+		drained(pair)
+		// A slot boundary may pass between the fill and the overflow and
+		// drain the pair first: then no wait happened, so try again.
+		for pair.Stats().Overflows == 0 {
+			fill(pair)
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if err := pair.PutWait(quota, time.Second); err != nil {
+				t.Fatalf("pair %d: PutWait: %v", i, err)
+			}
+			runtime.ReadMemStats(&ms)
+			if pair.Stats().Overflows == 0 {
+				drained(pair)
+				continue
+			}
+			if ms.Mallocs != before && i >= 0 {
+				allocated++
+			}
+		}
+	}
+	// The count is process-wide, so a stray runtime allocation (a new M,
+	// a timer heap growing) may land in one pair's wait; a wait that
+	// allocates shows in every pair's.
+	t.Logf("%d of %d first overflow waits allocated", allocated, pairs)
+	if allocated >= pairs/2 {
+		t.Fatalf("%d of %d first overflow waits allocated, want fewer than %d", allocated, pairs, pairs/2)
+	}
+}
+
 // TestDeliveredItemsAreCollectable pins the other half of the memory
 // contract: once a batch's handler has returned, the pair keeps no
 // reference to its items. The drain scratch (and a redelivered batch's
