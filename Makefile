@@ -59,7 +59,8 @@ lint:
 # allocs/op), and the pinned SPSC ping-pong recipes (figure pingpong)
 # written to BENCH_PBPL.json for run-over-run diffing. The alloc gate
 # fails the target if any hot-path benchmark reports allocs/op > 0 or
-# the server's ingest benchmarks exceed their allocs/item budget; the
+# the ingest and forward-hop benchmarks exceed their allocs/item or
+# B/item budget; the
 # grep fails it if the powercap series drops out of the JSON document.
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -476,8 +476,9 @@ func TestClusterFleetPacksLightLoad(t *testing.T) {
 // BenchmarkForwardHop prices the forward hop between two in-process
 // nodes: node A's Forward of 64 × 64 B items, node B's handleConn and
 // IngestForwarded into the key's pair, and the ack back to A.
-// allocs/item is process-wide, so B's drains and both nodes' heartbeats
-// are in it; scripts/alloc_gate.sh holds it to one slab per frame.
+// allocs/item and B/item are process-wide, so B's drains and both
+// nodes' heartbeats are in them; scripts/alloc_gate.sh holds the hop to
+// one slab per frame, of the frame's payload bytes.
 func BenchmarkForwardHop(b *testing.B) {
 	const n = 64
 	discard := func(cfg *server.Config) { cfg.HandlerFor = nil }
@@ -507,4 +508,5 @@ func BenchmarkForwardHop(b *testing.B) {
 	total := float64(b.N) * n
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/item")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/item")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/item")
 }

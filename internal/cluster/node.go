@@ -56,13 +56,14 @@ func chunkEnd(items [][]byte, off int) int {
 // right buffer budget.
 type Backend interface {
 	// IngestForwarded admits a peer's forwarded items. The items slice
-	// is the caller's; the payloads may be kept.
+	// is the caller's; the payloads may be kept, so none may lie in a
+	// buffer the caller reuses (see server.PackItems).
 	IngestForwarded(tenant, key string, items [][]byte) (server.IngestResult, error)
 	// IngestHandoff admits migrated items. cont marks a continuation of
 	// a hand-off already under way (a later chunk, or a requeue retry of
 	// a previously failed ship) so stream-level migration counters are
 	// bumped once per hand-off, not once per frame. The items slice is
-	// the caller's; the payloads may be kept.
+	// the caller's; the payloads may be kept, as for IngestForwarded.
 	IngestHandoff(tenant, key string, items [][]byte, cont bool) (server.IngestResult, error)
 	// DetachStream also reports the tenant the stream was bound to, so
 	// the hand-off keeps its attribution at the new owner.
@@ -294,7 +295,8 @@ type stashEntry struct {
 	items  [][]byte
 }
 
-// putStash appends items owed to a stream for a later sweep retry.
+// putStash appends items owed to a stream for a later sweep retry. It
+// takes the items over: every caller passes a slice nothing else uses.
 func (n *Node) putStash(key, tenant string, items [][]byte) {
 	if len(items) == 0 {
 		return
@@ -303,9 +305,7 @@ func (n *Node) putStash(key, tenant string, items [][]byte) {
 	if e, ok := n.stash[key]; ok {
 		e.items = append(e.items, items...)
 	} else {
-		// Copy the headers: the slice belongs to the caller (Forward's
-		// contract), which recycles it.
-		n.stash[key] = &stashEntry{tenant: tenant, items: append([][]byte(nil), items...)}
+		n.stash[key] = &stashEntry{tenant: tenant, items: items}
 	}
 	n.stashMu.Unlock()
 }
@@ -421,7 +421,9 @@ func (n *Node) Forward(tenant, key string, items [][]byte) (server.IngestResult,
 		}
 		// Partial delivery: keep the rest here rather than lose or
 		// duplicate it. Forwarded-ingest is the right local path —
-		// these items must not bounce back out.
+		// these items must not bounce back out. Both ways below keep
+		// the items, which are the caller's: they get a packed copy.
+		rest = server.PackItems(nil, rest)
 		local, lerr := n.backend.IngestForwarded(tenant, key, rest)
 		if lerr != nil {
 			// Local re-admission failed too (drain race). Earlier chunks
@@ -717,6 +719,10 @@ func (n *Node) callOn(pc *peerConn, id string, f Frame) (Frame, bool, error) {
 
 func (n *Node) probeLoop() {
 	defer n.wg.Done()
+	// Probe at once, not a period from now: a peer never proven alive
+	// stays dead on a miss, so a seed that is not up yet loses nothing.
+	n.probeOnce()
+	n.router.SetMembers(n.mem.Routable())
 	t := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer t.Stop()
 	for {

@@ -25,6 +25,8 @@ type fakeBackend struct {
 	contFlags []bool // cont argument of each IngestHandoff call, in order
 	// failHandoffs makes the next N IngestHandoff calls fail.
 	failHandoffs int
+	// failForwards makes the next N IngestForwarded calls fail.
+	failForwards int
 }
 
 func newFakeBackend() *fakeBackend {
@@ -50,6 +52,10 @@ func (f *fakeBackend) IngestForwarded(tenant, key string, items [][]byte) (serve
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.forwards++
+	if f.failForwards > 0 {
+		f.failForwards--
+		return server.IngestResult{}, fmt.Errorf("injected forward failure")
+	}
 	if _, ok := f.streams[key]; !ok {
 		f.streams[key] = nil
 		f.loads[key] = 0
@@ -172,6 +178,41 @@ func TestTwoNodesConverge(t *testing.T) {
 	if !st.Enabled || st.NodeID != "n1" || len(st.Peers) != 1 ||
 		st.Peers[0].ID != "n2" || st.Peers[0].State != "alive" {
 		t.Fatalf("status %+v", st)
+	}
+}
+
+// TestJoinWithoutWaitingAPeriod: a node probes its seeds as it starts,
+// not one heartbeat period later, so two nodes with a 10 s period see
+// each other alive at once.
+func TestJoinWithoutWaitingAPeriod(t *testing.T) {
+	cfg1 := testNodeConfig("n1", nil)
+	cfg1.HeartbeatEvery = 10 * time.Second
+	n1, err := NewNode(cfg1, newFakeBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n1.Close() })
+	cfg2 := testNodeConfig("n2", map[string]string{"n1": n1.Addr()})
+	cfg2.HeartbeatEvery = 10 * time.Second
+	n2, err := NewNode(cfg2, newFakeBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n2.Close() })
+	alive := func(n *Node, peer string) bool {
+		for _, p := range n.mem.Snapshot() {
+			if p.ID == peer && p.State == StateAlive {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(time.Second)
+	for !alive(n1, "n2") || !alive(n2, "n1") {
+		if time.Now().After(deadline) {
+			t.Fatal("the nodes did not see each other alive within 1 s of boot")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -340,6 +381,89 @@ func TestForwardAckLossReadmitsOnlyUnwrittenTail(t *testing.T) {
 	}
 	if sent := fwd[0].Items; len(sent) != 2 || !bytes.Equal(sent[0], []byte("a")) || !bytes.Equal(sent[1], []byte("b")) {
 		t.Fatalf("peer saw chunk %q, want the first 2 items", sent)
+	}
+}
+
+// newAckOncePeer is a peer that acknowledges the first forward frame of
+// each connection and then hangs up, so the next chunk of the same
+// Forward finds the connection gone. It answers nothing else.
+func newAckOncePeer(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				f, err := readFrame(bufio.NewReader(c), nil)
+				if err != nil || f.Type != FrameForward {
+					return
+				}
+				if ack, err := EncodeFrame(Frame{Type: FrameForwardAck, From: "n2", Key: f.Key, Accepted: len(f.Items)}); err == nil {
+					c.Write(ack)
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() { ln.Close() })
+	return ln
+}
+
+// TestBorrowedForwardPartialDelivery: Forward keeps nothing of its
+// caller's. When the owner takes the first chunk and the rest stays on
+// this node — re-admitted through IngestForwarded, or stashed when that
+// fails too — what stays is a copy: the caller overwrites its payloads
+// once Forward returns, and the kept items still read as sent.
+func TestBorrowedForwardPartialDelivery(t *testing.T) {
+	old := maxChunkItems
+	maxChunkItems = 2
+	defer func() { maxChunkItems = old }()
+	for _, stash := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stash=%v", stash), func(t *testing.T) {
+			peer := newAckOncePeer(t)
+			n1, f1 := soloNodeWithPeer(t, "n2", peer.Addr().String())
+			key := keyOwnedBy(n1.router, "n2")
+			f1.mu.Lock()
+			if stash {
+				f1.failForwards = 1
+			}
+			f1.mu.Unlock()
+			var want, items [][]byte
+			for i := 0; i < 6; i++ {
+				want = append(want, []byte(fmt.Sprintf("item-%d", i)))
+				items = append(items, bytes.Clone(want[i]))
+			}
+			res, err := n1.Forward("", key, items)
+			if err != nil || res.Accepted != len(items) {
+				t.Fatalf("forward: %+v, %v", res, err)
+			}
+			for _, it := range items {
+				copy(it, "XXXXXX")
+			}
+			kept := f1.items(key)
+			if stash {
+				if len(kept) != 0 {
+					t.Fatalf("backend took %q though its re-admission failed", kept)
+				}
+				_, kept = n1.takeStash(key)
+			}
+			// The owner acked items 0-1; items 2-3 were either never
+			// written (kept here) or written with the ack lost (in doubt).
+			if len(kept) != 4 && len(kept) != 2 {
+				t.Fatalf("kept %d items, want the 4 or 2 after the acked chunk", len(kept))
+			}
+			for i, it := range kept {
+				if w := want[len(want)-len(kept)+i]; !bytes.Equal(it, w) {
+					t.Fatalf("kept item %d = %q after the caller reused its payloads, want %q", i, it, w)
+				}
+			}
+		})
 	}
 }
 

@@ -20,11 +20,12 @@
 //	itemCount × ( len(4) + payload )
 //
 // A reader checks bodyLen against MaxFrameBytes before allocating and
-// acts on a frame only once it has been read in full. Ack frames (fok,
-// mok, err) are decoded from the connection's reused buffer. A fwd or
-// mig body gets one slab of its own, its items cap-clipped sub-slices
-// of it: a forwarded batch reaches PutBatch without a per-item copy,
-// and the receiving pair keeps the payloads until its drain.
+// acts on a frame only once it has been read in full. Every frame is
+// read into the connection's reused buffer (one over maxKeptBuf into
+// its own). A fwd or mig frame's payloads outlive that buffer — the
+// receiving pair keeps them until its drain — so they are copied once,
+// packed into one slab of exactly their bytes (server.PackItems); the
+// frame fields and length prefixes are not.
 //
 // The same connections carry forwarded ingest items and migration
 // hand-offs, so a stream's items arrive at the new owner in the order
@@ -40,6 +41,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"repro/internal/server"
 )
 
 // Frame types. Every exchange is request → response on one connection.
@@ -208,7 +211,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 type frameDecoder struct {
 	strs  map[string]string // interned From, Key and Tenant
 	items [][]byte          // the last frame's item headers
-	body  []byte            // the last ack's body
+	body  []byte            // the last frame's body
 }
 
 const maxInternedKeys = 1024 // bounds strs, as on the raw-TCP face
@@ -231,7 +234,8 @@ func (d *frameDecoder) intern(b []byte) string {
 
 // readFrame reads the next frame off a connection, sniffing its framing
 // from the first byte, and decodes it through d. The Items slice is
-// d's; only a fwd or mig frame's payloads may outlive the next read.
+// d's; only a fwd or mig frame's payloads, packed out of d's buffer,
+// may outlive the next read.
 // An error wrapping errFrame leaves the stream in sync (the frame was
 // consumed whole); any other error does not.
 func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
@@ -269,7 +273,8 @@ func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
 	}
 	br.Discard(headerLen)
 	var body []byte
-	if d != nil && n <= maxKeptBuf && !keepsPayload(typ) {
+	reused := d != nil && n <= maxKeptBuf
+	if reused {
 		d.body = slices.Grow(d.body[:0], int(n))[:n]
 		body = d.body
 	} else {
@@ -278,7 +283,11 @@ func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, unexpectedEOF(err)
 	}
-	return decodeData(d, typ, body)
+	f, err := decodeData(d, typ, body)
+	if err == nil && reused && keepsPayload(typ) {
+		f.Items = server.PackItems(f.Items[:0], f.Items)
+	}
+	return f, err
 }
 
 // keepsPayload: fwd and mig payloads go into a pair, which keeps them.

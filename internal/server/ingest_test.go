@@ -762,6 +762,97 @@ func TestDetachDuringOverflowWait(t *testing.T) {
 	}
 }
 
+// postRounds POSTs rounds of lines to /ingest/<key>-<round> (or one
+// key for all rounds when perRound is false) through the server's
+// handler, one request after another on this goroutine, so each reads
+// into the pooled body buffer the one before left behind. Every round's
+// body is as long as the others and holds other bytes. It returns the
+// lines sent, by key.
+func postRounds(t *testing.T, s *Server, key string, perRound bool, rounds, lines int) map[string][]string {
+	t.Helper()
+	sent := make(map[string][]string)
+	for r := 0; r < rounds; r++ {
+		k := key
+		if perRound {
+			k = fmt.Sprintf("%s-%d", key, r)
+		}
+		var body strings.Builder
+		for i := 0; i < lines; i++ {
+			line := fmt.Sprintf("round-%d-item-%02d", r, i)
+			sent[k] = append(sent[k], line)
+			body.WriteString(line + "\n")
+		}
+		if w := serveHTTP(s, http.MethodPost, "/ingest/"+k, body.String()); w.Code != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", r, w.Code, w.Body)
+		}
+	}
+	return sent
+}
+
+// TestBorrowedBodyHeldByHandler: a request's items are views of a
+// pooled body buffer that later requests read into, so what a pair
+// admits is packed out of it first. The handler keeps every batch it is
+// handed (collector); once later requests have reused the buffer, every
+// kept item still reads as sent.
+func TestBorrowedBodyHeldByHandler(t *testing.T) {
+	var col collector
+	s, _ := newTestServer(t, Config{HandlerFor: col.handlerFor})
+	sent := postRounds(t, s, "held", false, 8, 16)
+	col.waitFor(t, 8*16)
+	if got := col.strings()["held"]; !reflect.DeepEqual(got, sent["held"]) {
+		t.Fatalf("held items changed under later requests:\n got %q\nwant %q", got, sent["held"])
+	}
+}
+
+// halfOwner is a cluster router whose owner takes the first half of a
+// batch and leaves the rest here, as Node.Forward does on a partial
+// delivery: it re-admits the rest through IngestForwarded, packed, since
+// Forward keeps nothing of its caller's. With fail set the owner is
+// unreachable and Forward delivers nothing.
+type halfOwner struct {
+	s    *Server
+	fail bool
+}
+
+func (o *halfOwner) Resolve(string) Route { return Route{Owner: "owner"} }
+func (o *halfOwner) Forward(tenant, key string, items [][]byte) (IngestResult, error) {
+	if o.fail {
+		return IngestResult{}, errors.New("owner unreachable")
+	}
+	half := len(items) / 2
+	res, err := o.s.IngestForwarded(tenant, key, PackItems(nil, items[half:]))
+	res.Accepted += half
+	return res, err
+}
+func (o *halfOwner) Status() ClusterStatus { return ClusterStatus{} }
+
+// TestBorrowedBodyForwardReadmitted: the items a forward leaves on this
+// node — re-admitted by the router after a partial delivery, or taken
+// back by the fallback when the owner is unreachable — reach their pair
+// byte-exact after later requests have overwritten the body buffer.
+func TestBorrowedBodyForwardReadmitted(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("unreachable=%v", fail), func(t *testing.T) {
+			var col collector
+			s, _ := newTestServer(t, Config{HandlerFor: col.handlerFor})
+			s.SetRouter(&halfOwner{s: s, fail: fail})
+			const rounds, lines = 6, 16
+			sent := postRounds(t, s, "fwd", true, rounds, lines)
+			kept := lines / 2
+			if fail {
+				kept = lines
+			}
+			col.waitFor(t, rounds*kept)
+			got := col.strings()
+			for k, lines := range sent {
+				if want := lines[len(lines)-kept:]; !reflect.DeepEqual(got[k], want) {
+					t.Fatalf("stream %s kept %q, want %q", k, got[k], want)
+				}
+			}
+		})
+	}
+}
+
 // ---- benchmarks: the server layer's own numbers ----
 
 const (
@@ -795,9 +886,10 @@ func benchServer(b *testing.B, cfg Config) *Server {
 	return s
 }
 
-// reportPerItem adds ns/item and allocs/item (process-wide mallocs over
-// the timed loop, so the drain side is in the figure too) to a
-// benchmark whose op is one batch of benchBatch items.
+// reportPerItem adds ns/item, allocs/item and B/item (process-wide
+// mallocs and bytes allocated over the timed loop, so the drain side is
+// in the figures too) to a benchmark whose op is one batch of
+// benchBatch items.
 func reportPerItem(b *testing.B, run func()) {
 	b.ReportAllocs()
 	var before, after runtime.MemStats
@@ -809,13 +901,38 @@ func reportPerItem(b *testing.B, run func()) {
 	items := float64(b.N) * benchBatch
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/item")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/items, "B/item")
 }
 
 // BenchmarkIngestHTTP is one 256 × 64 B POST through handleIngest: body
 // read, split, admission and the response, without the socket and
 // net/http's connection handling.
-func BenchmarkIngestHTTP(b *testing.B) {
+func BenchmarkIngestHTTP(b *testing.B) { benchIngestHTTP(b, nil) }
+
+// BenchmarkIngestHTTPForwarded is BenchmarkIngestHTTP for a key another
+// node owns: the batch is encoded into the peer connection's reused
+// buffer and no pair keeps it, so no payload memory is allocated.
+func BenchmarkIngestHTTPForwarded(b *testing.B) { benchIngestHTTP(b, &encodingOwner{}) }
+
+// encodingOwner owns every key remotely and forwards a batch by copying
+// it into one reused buffer, as a peer connection's encoder does.
+type encodingOwner struct{ buf []byte }
+
+func (o *encodingOwner) Resolve(string) Route { return Route{Owner: "peer"} }
+func (o *encodingOwner) Forward(_, _ string, items [][]byte) (IngestResult, error) {
+	o.buf = o.buf[:0]
+	for _, it := range items {
+		o.buf = append(o.buf, it...)
+	}
+	return IngestResult{Accepted: len(items)}, nil
+}
+func (o *encodingOwner) Status() ClusterStatus { return ClusterStatus{} }
+
+func benchIngestHTTP(b *testing.B, router Router) {
 	s := benchServer(b, Config{})
+	if router != nil {
+		s.SetRouter(router)
+	}
 	body := bytes.Repeat(append(bytes.Repeat([]byte("x"), benchItemSize), '\n'), benchBatch)
 	post := func() {
 		w := httptest.NewRecorder()

@@ -68,8 +68,10 @@ type Router interface {
 	// authenticated tenant id ("" on an open server) so the owner
 	// charges the right buffer budget. An error means the items were
 	// NOT delivered (the caller falls back to local ingest so no item
-	// is lost to routing). The items slice is the caller's to reuse
-	// once Forward returns — keep payloads, never the slice itself.
+	// is lost to routing). Forward keeps nothing of the caller's: the
+	// slice and the payloads may both be reused once it returns (HTTP
+	// items are views of a pooled body buffer), so whatever it keeps —
+	// items it re-admits locally, say — it copies first (PackItems).
 	Forward(tenant, key string, items [][]byte) (IngestResult, error)
 	// Status reports cluster state for /statusz and /metrics.
 	Status() ClusterStatus
@@ -268,32 +270,29 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 // when the forward fails, so no item is ever lost to routing. The
 // returned Route lets HTTP callers answer redirects instead.
 func (s *Server) routedIngest(src proto, tenantID, key string, items [][]byte) (IngestResult, Route, error) {
-	r := s.router
-	if r == nil {
-		res, err := s.ingestLocal(src, tenantID, key, items)
-		return res, Route{Local: true}, err
-	}
-	route := r.Resolve(key)
-	if route.Local {
-		res, err := s.ingestLocal(src, tenantID, key, items)
-		return res, route, err
-	}
 	// A stream this node still hosts keeps ingesting locally even when
 	// the router points elsewhere: the ownership sweep ships the whole
 	// backlog (detach + hand-off) before any forward for the key can be
 	// sent, so the new owner sees items in arrival order. Forwarding
 	// starts the moment the stream is detached.
-	if s.hosts(key) {
-		res, err := s.ingestLocal(src, tenantID, key, items)
-		return res, Route{Local: true}, err
+	if r := s.router; r != nil {
+		if route := r.Resolve(key); !route.Local && !s.hosts(key) {
+			if res, err := r.Forward(tenantID, key, items); err == nil {
+				s.forwardedOut.Add(uint64(len(items)))
+				return res, route, nil
+			}
+			// Owner unreachable: admit locally. The ownership sweep
+			// re-ships the stream once the owner is back (or the routing
+			// table moves on).
+			s.forwardFallbacks.Add(1)
+		}
 	}
-	if res, err := r.Forward(tenantID, key, items); err == nil {
-		s.forwardedOut.Add(uint64(len(items)))
-		return res, route, nil
+	if src == protoHTTP {
+		// HTTP items are views of the pooled body buffer, and the pair
+		// keeps what it admits. (Raw TCP packs once per read, for all
+		// the read's keys.)
+		items = PackItems(items[:0], items)
 	}
-	// Owner unreachable: admit locally. The ownership sweep re-ships
-	// the stream once the owner is back (or the routing table moves on).
-	s.forwardFallbacks.Add(1)
 	res, err := s.ingestLocal(src, tenantID, key, items)
 	return res, Route{Local: true}, err
 }
@@ -318,7 +317,9 @@ func (s *Server) hosts(key string) bool {
 // tenant is the entry node's authenticated tenant id; with a registry,
 // a tenant this node does not know is refused so the entry node falls
 // back to local ingest under its own (authenticated) attribution
-// rather than this node admitting unattributed items.
+// rather than this node admitting unattributed items. The pair keeps
+// the payloads, not the slice: a caller reading them out of a reused
+// buffer packs them first (PackItems), as the cluster wire decoder does.
 func (s *Server) IngestForwarded(tenant, key string, items [][]byte) (IngestResult, error) {
 	if s.draining.Load() {
 		return IngestResult{}, errors.New("draining")

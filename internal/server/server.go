@@ -10,13 +10,14 @@
 //
 // Design rules, in order:
 //
-//   - A request allocates one slab and nothing else of this package's:
-//     the body (HTTP) or the payloads of one read (raw TCP) are copied
-//     into it once, the items are sub-slices of it, the batch goes to
-//     its pair in one PutBatch, and headers and the verdict reuse pooled
-//     memory; the rest is net/http's own. The handler contract this
-//     implies: a handler that retains one item retains that request's
-//     slab (at most MaxBodyBytes).
+//   - A request's payloads are copied once, and only if a pair keeps
+//     them: each face reads into a buffer it reuses, the items are
+//     sub-slices of it while routed, and those that stay on this node are
+//     packed into one slab of exactly their bytes (PackItems) before
+//     their one PutBatch. A forwarded batch allocates no payload memory
+//     here. Headers and the verdict reuse pooled memory; the rest is
+//     net/http's own. So a handler that retains one item retains the
+//     slab it was packed into (at most MaxBodyBytes).
 //   - A full pair is backpressure before it is loss. The overflowing
 //     PutBatch has already forced the drain (the paper's overflow
 //     wakeup, §V), so the producer waits for it — parked on the pair
@@ -49,6 +50,7 @@ import (
 	"net"
 	"net/http"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -476,30 +478,53 @@ func splitItems(dst [][]byte, body []byte) [][]byte {
 	return dst
 }
 
-// itemHeaders recycles each request's item headers and verdict buffer:
-// nothing downstream of routedIngest keeps the headers (pairs copy them
-// into their rings, Router.Forward encodes them), only the payloads.
+// PackItems appends to dst a cap-clipped header per item, over one slab
+// of exactly the payloads' total size holding a copy of them back to
+// back. dst may be items[:0]. A pair keeps what it admits, so payloads
+// read into a reused buffer are packed before they reach one.
+func PackItems(dst, items [][]byte) [][]byte {
+	size := 0
+	for _, it := range items {
+		size += len(it)
+	}
+	slab := make([]byte, 0, size)
+	for _, it := range items {
+		off := len(slab)
+		slab = append(slab, it...)
+		dst = append(dst, slab[off:len(slab):len(slab)])
+	}
+	return dst
+}
+
+// itemHeaders recycles each request's body buffer, item headers and
+// verdict buffer: nothing downstream of routedIngest keeps the headers
+// or the body (pairs get their payloads packed out of it).
 var itemHeaders = sync.Pool{New: func() any { return new(ingestScratch) }}
 
 type ingestScratch struct {
+	body  []byte
 	items [][]byte
 	ack   []byte
 }
 
+const maxKeptBody = 1 << 20 // the largest body buffer the pool keeps
+
 // jsonContentType is shared so that setting it allocates nothing.
 var jsonContentType = []string{"application/json"}
 
-// readBody reads one ingest body into a single slab: exactly sized
-// when the client declared a length within the limit (net/http bounds
-// the body at it), grown by io.ReadAll for chunked bodies — and for a
-// declared length over the limit, which MaxBytesReader then refuses.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readBody reads one ingest body into buf, reused from request to
+// request: to its declared length when that is within the limit
+// (net/http bounds the body at it), else through MaxBytesReader, which
+// refuses a chunked or declared body over the limit.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
-		slab := make([]byte, n)
-		_, err := io.ReadFull(r.Body, slab)
-		return slab, err
+		buf = slices.Grow(buf[:0], int(n))[:n]
+		_, err := io.ReadFull(r.Body, buf)
+		return buf, err
 	}
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	return b.Bytes(), err
 }
 
 // writeVerdict writes an ingest verdict, rendered into buf (returned
@@ -555,18 +580,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad stream key", http.StatusBadRequest)
 		return
 	}
-	body, err := s.readBody(w, r)
-	if err != nil {
+	scratch := itemHeaders.Get().(*ingestScratch)
+	defer func() {
+		clear(scratch.items) // a pooled header must not pin a packed slab
+		if cap(scratch.body) > maxKeptBody {
+			scratch.body = nil
+		}
+		itemHeaders.Put(scratch)
+	}()
+	var err error
+	if scratch.body, err = s.readBody(w, r, scratch.body); err != nil {
 		http.Error(w, "body read: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
-	scratch := itemHeaders.Get().(*ingestScratch)
-	items := splitItems(scratch.items[:0], body)
-	defer func(all [][]byte) {
-		clear(all) // a pooled header must not pin this request's slab
-		scratch.items = all[:0]
-		itemHeaders.Put(scratch)
-	}(items)
+	scratch.items = splitItems(scratch.items[:0], scratch.body)
+	items := scratch.items
 	if len(items) == 0 {
 		http.Error(w, "empty body: newline-delimited items expected", http.StatusBadRequest)
 		return

@@ -107,12 +107,6 @@ type tcpKey struct {
 	items [][]byte
 }
 
-// tcpLine is one valid line of the chunk being ingested.
-type tcpLine struct {
-	k       *tcpKey
-	payload []byte // aliases the read buffer
-}
-
 // maxInternedKeys bounds the key table a connection carries from one
 // chunk to the next; a client cycling through more keys than this has
 // the table rebuilt as it goes.
@@ -125,7 +119,10 @@ type tcpConn struct {
 	tn       *tenant.Tenant
 	tenantID string
 	keys     map[string]*tcpKey
-	lines    []tcpLine
+	// The chunk's valid lines: each one's key, and its payload, which
+	// aliases the read buffer until it is packed.
+	lineKeys []*tcpKey
+	payloads [][]byte
 	active   []*tcpKey // keys with items in the current chunk, by first appearance
 }
 
@@ -184,7 +181,7 @@ func (c *tcpConn) ingest(chunk []byte) {
 	if len(c.keys) > maxInternedKeys {
 		clear(c.keys) // nothing references a key between chunks
 	}
-	c.lines = c.lines[:0]
+	c.lineKeys, c.payloads = c.lineKeys[:0], c.payloads[:0]
 	for len(chunk) > 0 {
 		var line []byte
 		line, chunk, _ = bytes.Cut(chunk, newline)
@@ -198,29 +195,25 @@ func (c *tcpConn) ingest(chunk []byte) {
 			s.tcpMalformed.Add(1)
 			continue
 		}
-		c.lines = append(c.lines, tcpLine{k, line[sp+1:]})
+		c.lineKeys = append(c.lineKeys, k)
+		c.payloads = append(c.payloads, line[sp+1:])
 	}
-	admitted := c.lines
-	if c.tn != nil && len(admitted) > 0 {
-		admitted = admitted[:c.tn.AdmitRate(len(admitted))]
-		if shed := len(c.lines) - len(admitted); shed > 0 {
+	admitted := len(c.payloads)
+	if c.tn != nil && admitted > 0 {
+		admitted = c.tn.AdmitRate(admitted)
+		if shed := len(c.payloads) - admitted; shed > 0 {
 			c.tn.CountShedRate(shed)
 			s.shedTCP.Add(uint64(shed))
 		}
 	}
-	size := 0
-	for _, l := range admitted {
-		size += len(l.payload)
-	}
-	slab := make([]byte, 0, size)
-	for _, l := range admitted {
-		off := len(slab)
-		slab = append(slab, l.payload...)
-		if len(l.k.items) == 0 {
-			c.active = append(c.active, l.k)
+	for i, p := range PackItems(c.payloads[:0], c.payloads[:admitted]) {
+		k := c.lineKeys[i]
+		if len(k.items) == 0 {
+			c.active = append(c.active, k)
 		}
-		l.k.items = append(l.k.items, slab[off:len(slab):len(slab)])
+		k.items = append(k.items, p)
 	}
+	clear(c.payloads[:admitted]) // a kept header would pin the slab
 	for _, k := range c.active {
 		res, route, err := s.routedIngest(protoTCP, c.tenantID, k.key, k.items)
 		// An error is a full pair table (or a key that belongs to

@@ -12,7 +12,11 @@
 # The server: internal/server's ingest benchmarks report allocs/item
 # (one slab per request, items as sub-slices, one PutBatch per stream)
 # and must stay within their budget — a relapse to per-item copies or
-# per-line ingest costs ≥ 1 alloc/item and fails here.
+# per-line ingest costs ≥ 1 alloc/item and fails here. They report
+# B/item too, gated for HTTP: a local request copies its payloads once,
+# into a slab of exactly their bytes (64 B/item of the benchmark's 65 B
+# lines), and a forwarded one copies none — a fresh body slab per
+# request, or a second payload copy, costs ≥ 64 B/item and fails here.
 #
 # The cluster wire: internal/cluster's BenchmarkWireForward encodes a
 # 64-item batch into a connection-owned buffer and decodes it into
@@ -21,9 +25,10 @@
 #
 # The forward hop: BenchmarkForwardHop forwards 64-item batches from
 # one in-process node to another over loopback and counts every
-# allocation in the process. The receiving node's frame slab is the one
-# object a hop may cost (1/64 ≈ 0.016 allocs/item); a decode that
-# copies keys, item headers or ack bodies per frame fails here.
+# allocation in the process. The receiving node's payload slab is the
+# one object a hop may cost (1/64 ≈ 0.016 allocs/item), of the
+# payloads' bytes alone (64 B/item); a decode that copies keys, item
+# headers, length prefixes or ack bodies per frame fails here.
 #
 # The wakeup path: BenchmarkInvocation trickles items into four pairs
 # on one manager and reports allocs/invocation for the timer-driven
@@ -51,9 +56,10 @@ fi
 echo "alloc gate OK: all hot-path benchmarks at 0 allocs/op"
 
 # budget_gate <unit> <package> <what> <name:budget>...: runs the named
-# benchmarks and fails if any reports more allocs/<unit> than its budget.
+# benchmarks and fails if any reports more <unit> (a benchmark metric's
+# full unit, such as allocs/item or B/item) than its budget.
 budget_gate() {
-    local unit="allocs/$1" pkg="$2" what="$3"
+    local unit="$1" pkg="$2" what="$3"
     shift 3
     local budgets="$*" names out bad
     names="$(sed 's/:[^ ]*//g; s/ /|/g' <<<"$budgets")"
@@ -67,14 +73,16 @@ budget_gate() {
         }
         END { for (name in seen) if (!seen[name]) print name, "did not report", unit }' <<<"$out")"
     if [ -n "$bad" ]; then
-        echo "alloc gate FAILED — $what over its allocation budget:" >&2
+        echo "alloc gate FAILED — $what over its $unit budget:" >&2
         echo "$bad" >&2
         exit 1
     fi
     echo "alloc gate OK: $what within its $unit budget ($budgets)"
 }
 
-budget_gate item ./internal/server "server ingest" BenchmarkIngestHTTP:0.25 BenchmarkServeTCP:0.05
-budget_gate item ./internal/cluster "cluster wire codec" BenchmarkWireForward:0.05
-budget_gate item ./internal/cluster "cluster forward hop" BenchmarkForwardHop:0.02
-budget_gate invocation . "wakeup path" BenchmarkInvocation:0
+budget_gate allocs/item ./internal/server "server ingest" BenchmarkIngestHTTP:0.25 BenchmarkServeTCP:0.05
+budget_gate B/item ./internal/server "server ingest" BenchmarkIngestHTTP:92 BenchmarkIngestHTTPForwarded:40
+budget_gate allocs/item ./internal/cluster "cluster wire codec" BenchmarkWireForward:0.05
+budget_gate allocs/item ./internal/cluster "cluster forward hop" BenchmarkForwardHop:0.02
+budget_gate B/item ./internal/cluster "cluster forward hop" BenchmarkForwardHop:70
+budget_gate allocs/invocation . "wakeup path" BenchmarkInvocation:0
