@@ -162,10 +162,11 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 	if err != nil {
 		return nil, err
 	}
-	segs := (o.buffer + o.segSize - 1) / o.segSize * 2 // headroom for lent capacity
-	if segs < 2 {
-		segs = 2
-	}
+	// The pair's private pool is capped at the most the quota ledger
+	// can ever lend one pair, B0 × MaxPairs, plus the segment a part-read
+	// head can hold, so its ring backs every item its quota admits. The
+	// pool makes segments only as the ring first needs them.
+	segs := (o.maxPairs*o.buffer+o.segSize-1)/o.segSize + 1
 	pool := ring.NewSegmentPool[T](segs, o.segSize)
 	var q *ring.Segmented[T]
 	if pc.concurrent {

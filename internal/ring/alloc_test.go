@@ -1,6 +1,10 @@
 package ring
 
-import "testing"
+import (
+	"math/bits"
+	"runtime"
+	"testing"
+)
 
 // Deterministic zero-allocation checks: single goroutine, no timers,
 // no background noise — so these assert exactly zero, not "close to".
@@ -65,5 +69,51 @@ func TestDrainToScratchGrowsGeometrically(t *testing.T) {
 	}
 	if len(scratch) != top {
 		t.Fatalf("last drain returned %d items, want %d", len(scratch), top)
+	}
+}
+
+// TestArenaGrowthAllocs: a queue that grows from empty to n items
+// costs O(log n) allocations, because its pool's chunks double, and
+// refilling it to the same level after a drain costs none. The pool
+// makes at most twice the segments the queue needed.
+func TestArenaGrowthAllocs(t *testing.T) {
+	const segSize, n = 16, 1 << 16
+	var p *SegmentPool[int]
+	var q *Unbounded[int]
+	items := make([]int, 100)
+	fill := func() {
+		for q.Len() < n {
+			if q.PushBatch(items[:min(len(items), n-q.Len())]) == 0 {
+				t.Fatalf("push refused at %d of %d items", q.Len(), n)
+			}
+		}
+	}
+	// AllocsPerRun's warm-up call builds a pool of its own too, so the
+	// measured call grows a fresh queue from nothing.
+	grow := testing.AllocsPerRun(1, func() {
+		p = NewSegmentPool[int](1<<20/segSize, segSize)
+		q = NewUnbounded(p, n)
+		fill()
+	})
+	// Chunks of 1024, 1024, 2048, ... slots up to n: two allocations
+	// each (slots and headers), plus the pool, the queue and the two of
+	// its recycle ring — 18 in all. The bound doubles that: the growth
+	// sets off collections, and the runtime's own allocations for them
+	// count in the process-wide figure now and then.
+	chunks := bits.Len(uint(n / firstChunkSlots))
+	if limit := float64(2 * (2*chunks + 4)); grow > limit {
+		t.Fatalf("growing to %d items allocated %.0f times, want ≤ %.0f", n, grow, limit)
+	}
+	if p.made*segSize > 2*n {
+		t.Fatalf("pool made %d slots for %d items", p.made*segSize, n)
+	}
+	buf := make([]int, 4096)
+	runtime.GC() // no collection the growth set off is still running
+	if refill := testing.AllocsPerRun(5, func() {
+		for q.PopBatch(buf) > 0 {
+		}
+		fill()
+	}); refill != 0 {
+		t.Fatalf("refilling to %d items allocated %.2f times per run", n, refill)
 	}
 }

@@ -255,11 +255,46 @@ func TestPropertySPSCMatchesModel(t *testing.T) {
 	}
 }
 
+// TestSegmentPoolGeometry: a new pool records its geometry and has
+// made nothing yet.
 func TestSegmentPoolGeometry(t *testing.T) {
 	p := NewSegmentPool[int](4, 8)
-	if p.Total() != 4 || p.SegSize() != 8 || p.FreeSegments() != 4 {
-		t.Fatalf("pool: %d/%d/%d", p.Total(), p.SegSize(), p.FreeSegments())
+	if p.cap != 4 || p.segSize != 8 || p.made != 0 || p.nfree != 0 {
+		t.Fatalf("pool: cap %d, segSize %d, made %d, free %d", p.cap, p.segSize, p.made, p.nfree)
 	}
+}
+
+// TestSegmentPoolMakesChunksOnDemand: a pool makes a first chunk of
+// firstChunkSlots' worth of segments on first demand, then chunks as
+// large as everything made so far, and stops at its cap.
+func TestSegmentPoolMakesChunksOnDemand(t *testing.T) {
+	const segSize, capSegs = 16, 200
+	p := NewSegmentPool[int](capSegs, segSize)
+	q := NewSegmentedSP(p, 2*capSegs*segSize)
+	first := firstChunkSlots / segSize
+	// Items pushed from a fresh queue start at a segment boundary, so
+	// k segments hold exactly k*segSize of them.
+	for _, step := range []struct{ items, made int }{
+		{0, first}, // the queue's first tail
+		{first * segSize, first},
+		{first*segSize + 1, 2 * first},
+		{2 * first * segSize, 2 * first},
+		{2*first*segSize + 1, capSegs},
+		{capSegs * segSize, capSegs},
+	} {
+		for q.Len() < step.items {
+			if !q.Push(q.Len()) {
+				t.Fatalf("push %d failed with %d of %d segments made", q.Len(), p.made, p.cap)
+			}
+		}
+		if p.made != step.made {
+			t.Fatalf("holding %d items the pool made %d segments, want %d", step.items, p.made, step.made)
+		}
+	}
+	if q.Push(0) {
+		t.Fatal("a push past the pool's cap was admitted")
+	}
+	checkPoolBooks(t, p, q)
 }
 
 func TestSegmentPoolInvalid(t *testing.T) {
@@ -272,12 +307,16 @@ func TestSegmentPoolInvalid(t *testing.T) {
 }
 
 // checkPoolBooks asserts the arena invariant while nobody is pushing or
-// popping: every segment of p is in exactly one place — free in the
-// pool, linked into one queue's chain (consumer's segment through
-// producer's), or waiting in one queue's recycle ring.
+// popping: every segment p has made is in exactly one place — free in
+// the pool, linked into one queue's chain (consumer's segment through
+// producer's), or waiting in one queue's recycle ring — and p has made
+// no more than its cap.
 func checkPoolBooks[T any](t *testing.T, p *SegmentPool[T], queues ...*Segmented[T]) {
 	t.Helper()
-	seen := make(map[*Seg[T]]string, p.Total())
+	if p.made > p.cap {
+		t.Fatalf("pool made %d segments, cap %d", p.made, p.cap)
+	}
+	seen := make(map[*Seg[T]]string, p.made)
 	note := func(seg *Seg[T], where string) {
 		t.Helper()
 		if prev, dup := seen[seg]; dup {
@@ -285,8 +324,13 @@ func checkPoolBooks[T any](t *testing.T, p *SegmentPool[T], queues ...*Segmented
 		}
 		seen[seg] = where
 	}
-	for _, seg := range p.free {
+	free := 0
+	for seg := p.free; seg != nil; seg = seg.next.Load() {
 		note(seg, "free")
+		free++
+	}
+	if free != p.nfree {
+		t.Fatalf("%d segments on the free list, pool counts %d", free, p.nfree)
 	}
 	for _, q := range queues {
 		for seg := q.u.phead; seg != nil; seg = seg.next.Load() {
@@ -297,8 +341,8 @@ func checkPoolBooks[T any](t *testing.T, p *SegmentPool[T], queues ...*Segmented
 			note(r.slots[i&r.mask], "recycled")
 		}
 	}
-	if len(seen) != p.Total() {
-		t.Fatalf("%d of %d segments accounted for (%d free)", len(seen), p.Total(), p.FreeSegments())
+	if len(seen) != p.made {
+		t.Fatalf("%d of %d segments made accounted for (%d free)", len(seen), p.made, free)
 	}
 }
 
@@ -327,8 +371,8 @@ func TestSegmentedFIFO(t *testing.T) {
 	}
 	// 20 items need at most 6 segments of 4; later rounds refill from
 	// the queue's recycle ring and take no more from the pool.
-	if free := p.FreeSegments(); free < 2 {
-		t.Fatalf("queue took %d segments for 20 items", p.Total()-free)
+	if p.nfree < 2 {
+		t.Fatalf("queue took %d segments for 20 items", p.made-p.nfree)
 	}
 }
 
@@ -446,11 +490,11 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 					if len(model) > quota {
 						t.Fatalf("trial %d: quota exceeded", trial)
 					}
-				} else if starved := q.u.pw == p.SegSize() && q.u.recycle.Len() == 0 && p.FreeSegments() == 0; len(model) < quota && !starved {
+				} else if starved := q.u.pw == p.segSize && q.u.recycle.Len() == 0 && p.nfree == 0 && p.made == p.cap; len(model) < quota && !starved {
 					// Failure is only legitimate at quota or when a new
 					// segment was needed and unavailable.
 					t.Fatalf("trial %d: spurious push failure (len=%d quota=%d free=%d)",
-						trial, q.Len(), quota, p.FreeSegments())
+						trial, q.Len(), quota, p.nfree)
 				}
 				next++
 			case 2:

@@ -7,84 +7,103 @@ import (
 )
 
 // Seg is one pool segment: a fixed-size slot array plus the intrusive
-// link Unbounded chains segments with. Nodes are preallocated by the
-// pool together with their backing storage, so acquiring a segment
-// never allocates — the arena hands back the same headers it was built
-// with, forever. A segment carries no cursors: the queue holding it
-// keeps its own read and write positions.
+// link Unbounded chains segments with (and the pool chains its free
+// segments with). A pool makes segments in chunks as its queues first
+// need them and keeps every one it makes, so a queue that has reached
+// its high-water mark takes no new memory. A segment carries no
+// cursors: the queue holding it keeps its own read and write positions.
 type Seg[T any] struct {
 	slots []T
 	next  atomic.Pointer[Seg[T]]
 }
 
-// SegmentPool is a preallocated arena of fixed-size segments that
-// Unbounded queues draw from: the physical backing of the paper's
-// dynamic buffer, which grows and shrinks as "linked lists, not actual
-// contiguous resizing" (§V-C, Fig. 8). A queue grows by taking a
-// segment from the pool; a segment it has drained goes back to that
-// queue's own recycle ring, not to the pool, so a queue keeps the
-// segments it once needed. The runtime therefore gives every pair a
-// private pool sized to the most it may ever be lent, and the elastic
-// walls between consumers are internal/buffer's item quotas. Neither
-// the pool nor its segment headers allocate after construction.
+// firstChunkSlots is the slot count of a pool's first chunk: a queue
+// that never holds more than this many items makes exactly one chunk,
+// the first time it needs a segment.
+const firstChunkSlots = 1024
+
+// SegmentPool is the arena of fixed-size segments that Unbounded
+// queues draw from: the physical backing of the paper's dynamic
+// buffer, which grows and shrinks as "linked lists, not actual
+// contiguous resizing" (§V-C, Fig. 8), built the way Torquati's uSPSC
+// builds its list of rings — from buffers taken as the queue needs
+// them. A queue grows by taking a segment from the pool; a segment it
+// has drained goes back to that queue's own recycle ring, not to the
+// pool, so a queue keeps the segments it once needed.
+//
+// The pool makes nothing at construction. When its free list runs dry
+// it makes a chunk: firstChunkSlots' worth of segments first, then each
+// time as many segments as it has made so far, never more than its cap
+// in all. It frees none of them, so once its queues have reached their
+// high-water mark the pool allocates nothing more. The runtime gives
+// every pair a private pool capped at the most the quota ledger can
+// lend it, and the elastic walls between consumers are internal/buffer's
+// item quotas.
 type SegmentPool[T any] struct {
 	mu      sync.Mutex
 	segSize int
-	free    []*Seg[T]
-	total   int
+	cap     int     // most segments the pool will ever make
+	made    int     // segments made so far
+	free    *Seg[T] // unclaimed segments, linked through next
+	nfree   int
 }
 
-// NewSegmentPool builds a pool of segments×segSize item slots. One
-// backing array and one header array serve every segment for the
-// pool's whole life.
+// NewSegmentPool returns a pool of at most segments segments of
+// segSize item slots each. It allocates no slot until a queue first
+// takes a segment.
 func NewSegmentPool[T any](segments, segSize int) *SegmentPool[T] {
 	if segments <= 0 || segSize <= 0 {
 		panic(fmt.Sprintf("ring: invalid pool geometry %d×%d", segments, segSize))
 	}
-	p := &SegmentPool[T]{segSize: segSize, total: segments}
-	backing := make([]T, segments*segSize)
-	nodes := make([]Seg[T], segments)
-	p.free = make([]*Seg[T], segments)
-	for i := 0; i < segments; i++ {
-		nodes[i].slots = backing[i*segSize : (i+1)*segSize : (i+1)*segSize]
-		p.free[i] = &nodes[i]
-	}
-	return p
-}
-
-// SegSize returns the items per segment.
-func (p *SegmentPool[T]) SegSize() int { return p.segSize }
-
-// Total returns the pool's total segment count.
-func (p *SegmentPool[T]) Total() int { return p.total }
-
-// FreeSegments returns how many segments are currently unclaimed.
-func (p *SegmentPool[T]) FreeSegments() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
+	return &SegmentPool[T]{segSize: segSize, cap: segments}
 }
 
 func (p *SegmentPool[T]) acquire() (*Seg[T], bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free) == 0 {
+	if p.free == nil && !p.makeChunk() {
 		return nil, false
 	}
-	seg := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
+	seg := p.free
+	p.free = seg.next.Load()
+	p.nfree--
 	seg.next.Store(nil)
 	return seg, true
+}
+
+// makeChunk makes the pool's next chunk of segments and puts them on
+// the free list, lowest address first, reporting false at the cap. One
+// backing array and one header array serve the chunk for the pool's
+// whole life. Caller holds mu.
+func (p *SegmentPool[T]) makeChunk() bool {
+	n := p.made
+	if n == 0 {
+		n = max(1, firstChunkSlots/p.segSize)
+	}
+	if n = min(n, p.cap-p.made); n == 0 {
+		return false
+	}
+	backing := make([]T, n*p.segSize)
+	nodes := make([]Seg[T], n)
+	for i := n - 1; i >= 0; i-- {
+		nodes[i].slots = backing[i*p.segSize : (i+1)*p.segSize : (i+1)*p.segSize]
+		nodes[i].next.Store(p.free)
+		p.free = &nodes[i]
+	}
+	p.made += n
+	p.nfree += n
+	return true
 }
 
 func (p *SegmentPool[T]) release(seg *Seg[T]) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free) >= p.total {
+	if p.nfree >= p.made {
 		panic("ring: segment released twice")
 	}
-	seg.next.Store(nil)
-	p.free = append(p.free, seg)
+	seg.next.Store(p.free)
+	p.free = seg
+	p.nfree++
 }
 
 // Segmented is the elastic FIFO the live runtime's pairs buffer in: an

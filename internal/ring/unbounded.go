@@ -12,7 +12,7 @@ import (
 // PAPERS.md) fitted with the paper's elastic quota. "Unbounded" means
 // the queue itself imposes no structural capacity: admission is
 // governed purely by the item quota and by the pool backing the
-// growth.
+// growth, which makes its segments as the queue first reaches for them.
 //
 // Exactly one goroutine may push (Push/PushBatch) and one may pop
 // (Pop/PopBatch/DrainTo) at a time; Len, Quota and SetQuota are safe
@@ -30,9 +30,10 @@ import (
 // Segment hand-off is wait-free in steady state: drained segments are
 // recycled to the producer through a small SPSC ring instead of the
 // pool's mutex, so neither side takes a lock once the queue has warmed
-// up. The producer links a new segment before publishing the items in
-// it, so a consumer that observes pushed > popped always finds the
-// items' segments reachable.
+// up, unless it was lent more than its recycle ring holds (see
+// NewUnbounded). The producer links a new segment before publishing
+// the items in it, so a consumer that observes pushed > popped always
+// finds the items' segments reachable.
 type Unbounded[T any] struct {
 	_ [64]byte
 
@@ -61,6 +62,11 @@ type Unbounded[T any] struct {
 // NewUnbounded returns a queue with the given item quota drawing its
 // segments from pool. One segment is claimed immediately (the queue
 // needs a tail to write into); it panics if the pool cannot supply it.
+//
+// The recycle ring is sized from the initial quota, not from the
+// pool's cap: it holds twice the segments that quota spans (at most
+// the pool's cap). A queue lent a quota beyond that hands its extra
+// drained segments back through the pool's mutex instead.
 func NewUnbounded[T any](pool *SegmentPool[T], quota int) *Unbounded[T] {
 	if quota < 0 {
 		panic(fmt.Sprintf("ring: negative quota %d", quota))
@@ -69,7 +75,8 @@ func NewUnbounded[T any](pool *SegmentPool[T], quota int) *Unbounded[T] {
 	if !ok {
 		panic("ring: pool exhausted at Unbounded construction")
 	}
-	u := &Unbounded[T]{pool: pool, recycle: NewSPSC[*Seg[T]](pool.Total() + 1)}
+	spans := (quota + pool.segSize - 1) / pool.segSize
+	u := &Unbounded[T]{pool: pool, recycle: NewSPSC[*Seg[T]](min(2*spans, pool.cap) + 1)}
 	u.quota.Store(int64(quota))
 	u.ptail = seg
 	u.phead = seg
@@ -179,9 +186,10 @@ func (u *Unbounded[T]) PushBatch(items []T) int {
 
 // advanceHead steps the consumer to the next segment, handing the
 // drained one back to the producer via the recycle ring (pool fallback
-// keeps the arena's books when the ring is full, which only happens
-// transiently around construction). Only called when more published
-// items exist, so next is always linked.
+// keeps the arena's books when the ring is full, which happens when the
+// queue holds more segments than its initial quota spans twice over).
+// Only called when more published items exist, so next is always
+// linked.
 func (u *Unbounded[T]) advanceHead() {
 	old := u.phead
 	u.phead = old.next.Load()

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestUnboundedFIFOWrapAround(t *testing.T) {
@@ -395,6 +396,79 @@ func TestPropertySegmentedConcurrentProducers(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("an item was duplicated")
+	}
+	checkPoolBooks(t, pool, q)
+}
+
+// TestArenaGrowthConcurrentDrain: producers grow the arena chunk by
+// chunk while the consumer drains the same queue and recycles its
+// segments. The consumer lets the backlog rise to a doubling level
+// before each drain, so every chunk is made with the consumer at work.
+// Per-producer order holds, nothing is lost or duplicated, the pool's
+// cap of quota/segSize+1 segments never refuses a push below the
+// quota, and the books balance.
+func TestArenaGrowthConcurrentDrain(t *testing.T) {
+	const (
+		producers = 2
+		perProd   = 40000
+		segSize   = 4
+		maxQuota  = 1 << 13
+	)
+	pool := NewSegmentPool[uint32](maxQuota/segSize+1, segSize)
+	q := NewSegmented(pool, maxQuota)
+	var wg sync.WaitGroup
+	var done atomic.Int32
+	var stop atomic.Bool
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			defer done.Add(1)
+			batch := make([]uint32, 0, 8)
+			for seq := 0; seq < perProd && !stop.Load(); {
+				batch = batch[:0]
+				for i := seq; i < min(seq+1+seq%8, perProd); i++ {
+					batch = append(batch, uint32(p)<<24|uint32(i))
+				}
+				n := q.PushBatch(batch)
+				if n == 0 {
+					runtime.Gosched()
+				}
+				seq += n
+			}
+		}(p)
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+	var next [producers]uint32
+	var buf []uint32
+	deadline := time.Now().Add(30 * time.Second)
+	for got, level := 0, 64; got < producers*perProd; level = min(2*level, maxQuota) {
+		for q.Len() < level && done.Load() < producers {
+			if time.Now().After(deadline) {
+				t.Fatalf("backlog stuck at %d of %d: a push was refused below the quota (%d of %d segments made)",
+					q.Len(), level, pool.made, pool.cap)
+			}
+			runtime.Gosched()
+		}
+		buf = q.DrainTo(buf[:0])
+		for _, v := range buf {
+			p, seq := v>>24, v&(1<<24-1)
+			if seq != next[p] {
+				t.Fatalf("producer %d: got item %d, want %d", p, seq, next[p])
+			}
+			next[p]++
+		}
+		got += len(buf)
+	}
+	wg.Wait()
+	if _, ok := q.Pop(); ok {
+		t.Fatal("an item was duplicated")
+	}
+	if pool.made <= firstChunkSlots/segSize {
+		t.Fatalf("the arena never grew past its first chunk (%d segments)", pool.made)
 	}
 	checkPoolBooks(t, pool, q)
 }

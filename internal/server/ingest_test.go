@@ -853,6 +853,85 @@ func TestBorrowedBodyForwardReadmitted(t *testing.T) {
 	}
 }
 
+// splitOwner is a cluster router for raw-TCP reads: it owns "here-"
+// keys locally, forwards "far-" keys to a reachable owner that records
+// what it is handed, and finds the owner of every other key
+// unreachable. It counts forwarded payloads that arrive packed: a
+// packed payload is cap-clipped, while a view of the read buffer runs
+// on into the bytes that follow it.
+type splitOwner struct {
+	mu     sync.Mutex
+	got    map[string][]string
+	packed int
+}
+
+func (o *splitOwner) Resolve(key string) Route {
+	return Route{Local: strings.HasPrefix(key, "here-"), Owner: "owner"}
+}
+func (o *splitOwner) Forward(_, key string, items [][]byte) (IngestResult, error) {
+	if !strings.HasPrefix(key, "far-") {
+		return IngestResult{}, errors.New("owner unreachable")
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.got == nil {
+		o.got = make(map[string][]string)
+	}
+	for _, it := range items {
+		o.got[key] = append(o.got[key], string(it))
+		if cap(it) == len(it) {
+			o.packed++
+		}
+	}
+	return IngestResult{Accepted: len(items)}, nil
+}
+func (o *splitOwner) Status() ClusterStatus { return ClusterStatus{} }
+
+// TestBorrowedTCPReadPacksOnlyLocal: in cluster mode a raw-TCP read
+// forwards the lines of keys another node owns as views of the read
+// buffer, uncopied, and packs the rest — the lines of keys owned here
+// and those the unreachable owner left here — so they reach their
+// pairs byte-exact after later reads have overwritten the buffer.
+func TestBorrowedTCPReadPacksOnlyLocal(t *testing.T) {
+	var col collector
+	s, _ := newTestServer(t, Config{HandlerFor: col.handlerFor})
+	owner := &splitOwner{}
+	s.SetRouter(owner)
+	client, done := pipeTCP(s)
+	const rounds, lines = 6, 12
+	sent := make(map[string][]string)
+	for r := 0; r < rounds; r++ {
+		var chunk strings.Builder
+		for i := 0; i < lines; i++ {
+			key := []string{"here", "far", "down"}[i%3] + fmt.Sprint("-", r)
+			line := fmt.Sprintf("round-%d-item-%02d", r, i)
+			sent[key] = append(sent[key], line)
+			fmt.Fprintf(&chunk, "%s %s\n", key, line)
+		}
+		// net.Pipe hands the write to one Read of the connection's
+		// buffer, which the next round's write overwrites.
+		if _, err := io.WriteString(client, chunk.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	<-done
+	col.waitFor(t, rounds*lines*2/3)
+	got := col.strings()
+	for key, want := range sent {
+		have := got[key]
+		if strings.HasPrefix(key, "far-") {
+			have = owner.got[key]
+		}
+		if !reflect.DeepEqual(have, want) {
+			t.Errorf("stream %s got %q, want %q", key, have, want)
+		}
+	}
+	if owner.packed != 0 {
+		t.Errorf("%d of %d forwarded payloads were packed first", owner.packed, rounds*lines/3)
+	}
+}
+
 // ---- benchmarks: the server layer's own numbers ----
 
 const (

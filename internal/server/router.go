@@ -270,31 +270,49 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 // when the forward fails, so no item is ever lost to routing. The
 // returned Route lets HTTP callers answer redirects instead.
 func (s *Server) routedIngest(src proto, tenantID, key string, items [][]byte) (IngestResult, Route, error) {
-	// A stream this node still hosts keeps ingesting locally even when
-	// the router points elsewhere: the ownership sweep ships the whole
-	// backlog (detach + hand-off) before any forward for the key can be
-	// sent, so the new owner sees items in arrival order. Forwarding
-	// starts the moment the stream is detached.
-	if r := s.router; r != nil {
-		if route := r.Resolve(key); !route.Local && !s.hosts(key) {
-			if res, err := r.Forward(tenantID, key, items); err == nil {
-				s.forwardedOut.Add(uint64(len(items)))
-				return res, route, nil
-			}
-			// Owner unreachable: admit locally. The ownership sweep
-			// re-ships the stream once the owner is back (or the routing
-			// table moves on).
-			s.forwardFallbacks.Add(1)
-		}
+	if res, route, ok := s.forward(tenantID, key, items); ok {
+		return res, route, nil
 	}
 	if src == protoHTTP {
 		// HTTP items are views of the pooled body buffer, and the pair
 		// keeps what it admits. (Raw TCP packs once per read, for all
-		// the read's keys.)
+		// the read's local keys.)
 		items = PackItems(items[:0], items)
 	}
 	res, err := s.ingestLocal(src, tenantID, key, items)
 	return res, Route{Local: true}, err
+}
+
+// forward ships items for a key another node owns to that owner, as
+// they are: Router.Forward keeps nothing of the caller's. It reports
+// false, having delivered nothing, when the items stay on this node:
+// there is no router, this node owns the key or still hosts its
+// stream, or the owner is unreachable (counted in forwardFallbacks).
+//
+// A stream this node still hosts keeps ingesting locally even when the
+// router points elsewhere: the ownership sweep ships the whole backlog
+// (detach + hand-off) before any forward for the key can be sent, so
+// the new owner sees items in arrival order. Forwarding starts the
+// moment the stream is detached.
+func (s *Server) forward(tenantID, key string, items [][]byte) (IngestResult, Route, bool) {
+	r := s.router
+	if r == nil {
+		return IngestResult{}, Route{}, false
+	}
+	route := r.Resolve(key)
+	if route.Local || s.hosts(key) {
+		return IngestResult{}, Route{}, false
+	}
+	res, err := r.Forward(tenantID, key, items)
+	if err != nil {
+		// Owner unreachable: admit locally. The ownership sweep
+		// re-ships the stream once the owner is back (or the routing
+		// table moves on).
+		s.forwardFallbacks.Add(1)
+		return IngestResult{}, Route{}, false
+	}
+	s.forwardedOut.Add(uint64(len(items)))
+	return res, route, true
 }
 
 // hosts reports whether this node currently hosts the key's stream

@@ -103,8 +103,9 @@ func (lr *lineReader) next(one bool) ([]byte, error) {
 // tcpKey is one stream key as a connection knows it: the interned
 // string and the headers of the chunk's items for it, in arrival order.
 type tcpKey struct {
-	key   string
-	items [][]byte
+	key       string
+	items     [][]byte
+	forwarded bool // the chunk's lines for the key went to its owner
 }
 
 // maxInternedKeys bounds the key table a connection carries from one
@@ -127,9 +128,9 @@ type tcpConn struct {
 }
 
 // serveTCP consumes one connection's lines until EOF, error, or drain.
-// In cluster mode every batch rides the same routed ingest path as HTTP
-// (forwarded to its owner when the key hashes elsewhere) — the owner's
-// sheds are its own accounting.
+// In cluster mode every batch is routed as HTTP's are (forwarded to its
+// owner when the key hashes elsewhere, admitted here when the owner is
+// unreachable) — the owner's sheds are its own accounting.
 //
 // With a tenant registry the connection authenticates once, up front:
 // its first line must be `auth <api-key>` and a bad key closes the
@@ -171,11 +172,12 @@ func (s *Server) serveTCP(conn net.Conn) {
 }
 
 // ingest admits every line of chunk: validate, charge the tenant's rate
-// budget once for the lot, copy the admitted payloads into one slab
+// budget once for the lot, forward the lines of keys another node owns
+// (cluster mode), copy the payloads that stay here into one slab
 // (chunk aliases the read buffer, which the next Read overwrites), and
-// hand each key's items to the routed ingest path as one batch. Lines
-// of one key keep their order; every line ends up in exactly one of
-// tcp_malformed, shed_tcp or a routed batch.
+// hand each local key's items to its pair as one batch. Lines of one
+// key keep their order; every line ends up in exactly one of
+// tcp_malformed, shed_tcp, a forwarded batch or a local one.
 func (c *tcpConn) ingest(chunk []byte) {
 	s := c.s
 	if len(c.keys) > maxInternedKeys {
@@ -206,24 +208,61 @@ func (c *tcpConn) ingest(chunk []byte) {
 			s.shedTCP.Add(uint64(shed))
 		}
 	}
-	for i, p := range PackItems(c.payloads[:0], c.payloads[:admitted]) {
+	local := c.payloads[:admitted]
+	if s.router != nil {
+		local = c.forward(local)
+	}
+	c.group(PackItems(local[:0], local))
+	clear(c.payloads[:admitted]) // a kept header would pin the slab
+	for _, k := range c.active {
+		// An error is a full pair table (or a key that belongs to
+		// another tenant): drop; creation failures are counted in
+		// streamRejects.
+		if res, err := s.ingestLocal(protoTCP, c.tenantID, k.key, k.items); err == nil {
+			s.ingestedTCP.Add(uint64(res.Accepted))
+			s.shedTCP.Add(uint64(res.Shed))
+			s.quarantinedTCP.Add(uint64(res.Quarantined))
+		}
+	}
+	c.ungroup()
+}
+
+// forward sends the lines of keys another node owns to their owners,
+// one batch per key, as views of the read buffer: the owner's
+// connection encodes them and keeps nothing. It moves the lines that
+// stay here (keys this node owns or hosts, and keys whose owner is
+// unreachable) to the front of lines, in order, and returns them.
+func (c *tcpConn) forward(lines [][]byte) [][]byte {
+	c.group(lines)
+	for _, k := range c.active {
+		_, _, k.forwarded = c.s.forward(c.tenantID, k.key, k.items)
+	}
+	c.ungroup()
+	kept := 0
+	for i, p := range lines {
+		if k := c.lineKeys[i]; !k.forwarded {
+			c.lineKeys[kept], lines[kept] = k, p
+			kept++
+		}
+	}
+	return lines[:kept]
+}
+
+// group appends each line to its key's items (c.lineKeys[i] is line
+// i's key) and lists the keys in c.active by first appearance.
+func (c *tcpConn) group(lines [][]byte) {
+	for i, p := range lines {
 		k := c.lineKeys[i]
 		if len(k.items) == 0 {
 			c.active = append(c.active, k)
 		}
 		k.items = append(k.items, p)
 	}
-	clear(c.payloads[:admitted]) // a kept header would pin the slab
+}
+
+// ungroup empties what group filled, keeping the slices for reuse.
+func (c *tcpConn) ungroup() {
 	for _, k := range c.active {
-		res, route, err := s.routedIngest(protoTCP, c.tenantID, k.key, k.items)
-		// An error is a full pair table (or a key that belongs to
-		// another tenant): drop; creation failures are counted in
-		// streamRejects.
-		if err == nil && route.Local {
-			s.ingestedTCP.Add(uint64(res.Accepted))
-			s.shedTCP.Add(uint64(res.Shed))
-			s.quarantinedTCP.Add(uint64(res.Quarantined))
-		}
 		clear(k.items) // reused headers must not pin the slab
 		k.items = k.items[:0]
 	}

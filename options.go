@@ -16,8 +16,8 @@ var (
 	// The runtime has already forced a drain; the caller may retry
 	// immediately or shed the item.
 	ErrOverflow = errors.New("repro: buffer overflow")
-	// ErrTooManyPairs reports that the runtime's preallocated global
-	// buffer arena cannot host another pair (see WithMaxPairs).
+	// ErrTooManyPairs reports that the runtime already has WithMaxPairs
+	// pairs open, so the quota ledger has no B0 left for another.
 	ErrTooManyPairs = errors.New("repro: too many pairs")
 	// ErrQuarantined reports a Put on a pair whose circuit breaker is
 	// open (see Breaker): the handler has failed repeatedly and
@@ -169,8 +169,10 @@ func WithMinQuota(n int) Option { return func(o *options) { o.minQuota = n } }
 // are sized to predicted-need/η. Default 0.7. Buffering concern.
 func WithHeadroom(h float64) Option { return func(o *options) { o.headroom = h } }
 
-// WithMaxPairs caps concurrently open pairs; the shared segment arena
-// is preallocated for this many. Default 64. Buffering concern.
+// WithMaxPairs caps concurrently open pairs, and so bounds the global
+// pool B0 × MaxPairs and the most quota one pair can be lent. Each pair
+// makes its ring's segments as it first needs them, up to that bound.
+// Default 64. Buffering concern.
 func WithMaxPairs(n int) Option { return func(o *options) { o.maxPairs = n } }
 
 // WithPredictor sets the rate predictor factory (each pair gets its own
