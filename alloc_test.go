@@ -297,7 +297,7 @@ func TestDeliveredItemsAreCollectable(t *testing.T) {
 // grows the drain scratch beyond anything a trickle fills — plus 100
 // invocations of the trickle itself, so the manager's calendar and due
 // scratch have held every pair at once.
-func trickleRuntime(tb testing.TB, n int) (*Runtime, []*Pair[int]) {
+func trickleRuntime(tb testing.TB, n int, opts ...PairOption) (*Runtime, []*Pair[int]) {
 	tb.Helper()
 	rt, err := New(WithSlotSize(time.Millisecond), WithMaxLatency(10*time.Millisecond))
 	if err != nil {
@@ -305,7 +305,7 @@ func trickleRuntime(tb testing.TB, n int) (*Runtime, []*Pair[int]) {
 	}
 	ps := make([]*Pair[int], n)
 	for i := range ps {
-		if ps[i], err = Open(rt, Batch(func([]int) {})); err != nil {
+		if ps[i], err = Open(rt, Batch(func([]int) {}), opts...); err != nil {
 			tb.Fatal(err)
 		}
 		for ps[i].Put(0) == nil {
@@ -355,5 +355,28 @@ func TestWakeupPathAllocFree(t *testing.T) {
 	t.Logf("%.0f allocs per run, %d invocations in %d runs: %.3f allocs/invocation", perRun, invoked, runs+1, perInvocation)
 	if perInvocation > 0.05 {
 		t.Fatalf("%.2f allocations per consumer invocation, want ≤ 0.05", perInvocation)
+	}
+}
+
+// TestWatchedInvocationAllocs: a pair's handler watchdog is built once,
+// at Open, and re-armed by each invocation, so a watched invocation
+// allocates only what context.WithTimeout does for the handler's
+// deadline context — 4 allocations — and not a timer, a closure and a
+// channel of its own on top. The slack over 4 is the sibling wakeup
+// test's, for the process-wide count.
+func TestWatchedInvocationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race job")
+	}
+	rt, ps := trickleRuntime(t, 4, HandlerTimeout(time.Second))
+	defer rt.Close()
+
+	const runs = 3
+	var invoked uint64
+	perRun := testing.AllocsPerRun(runs, func() { invoked += trickle(rt, ps, 100) })
+	perInvocation := perRun * (runs + 1) / float64(invoked)
+	t.Logf("%.0f allocs per run, %d invocations in %d runs: %.3f allocs/invocation", perRun, invoked, runs+1, perInvocation)
+	if perInvocation > 4.05 {
+		t.Fatalf("%.2f allocations per watched invocation, want ≤ 4.05", perInvocation)
 	}
 }

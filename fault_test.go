@@ -357,6 +357,62 @@ func TestFaultMigrationPanicMidDrain(t *testing.T) {
 	}
 }
 
+// TestMigrationQuarantineOnTimeline: a migration's quiesce drain settles
+// through the same path as a manager's drains, so when its failure
+// opens the breaker the timeline records both the drain and the
+// quarantine, and the quarantine records match Stats.Quarantines. The
+// 1 s slots keep the manager from draining the item before the
+// migration does.
+func TestMigrationQuarantineOnTimeline(t *testing.T) {
+	rt, err := New(WithManagers(2), WithSlotSize(time.Second), WithMaxLatency(10*time.Second),
+		WithTimeline(TimelineDefaultCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	pair, err := Open(rt, Batch(func([]int) { panic("injected") }), Breaker(1), Redelivery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pair.Close()
+	if err := pair.Put(1); err != nil {
+		t.Fatal(err)
+	}
+	from := pair.st.mgr.Load()
+	to := rt.managers[1-from.id]
+	if !rt.migrate(pair.st, to) {
+		t.Fatal("migrate refused")
+	}
+	if !pair.Quarantined() {
+		t.Fatal("the quiesce drain's failure did not open the breaker")
+	}
+	var drains, quarantines, migrates int
+	for _, r := range wholeTimeline(t, rt) {
+		if r.Pair != pair.ID() {
+			continue
+		}
+		switch r.Kind {
+		case "drain":
+			if r.Manager == from.id && r.Wake == 0 {
+				drains++
+			}
+		case "quarantine":
+			quarantines++
+			if r.Manager != from.id {
+				t.Errorf("quarantine recorded on manager %d, want the source %d", r.Manager, from.id)
+			}
+		case "migrate":
+			migrates++
+		}
+	}
+	if st := rt.Stats(); uint64(quarantines) != st.Quarantines || quarantines != 1 {
+		t.Fatalf("%d quarantine records, Stats.Quarantines = %d; want 1 and 1", quarantines, st.Quarantines)
+	}
+	if drains != 1 || migrates != 1 {
+		t.Fatalf("%d quiesce drain records and %d migrate records, want 1 and 1", drains, migrates)
+	}
+}
+
 // TestFaultSentinelErrors pins the exported sentinels' errors.Is
 // behaviour through wrapping, the contract callers shed/reroute on.
 func TestFaultSentinelErrors(t *testing.T) {

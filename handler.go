@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/predict"
 	"repro/internal/ring"
 	"repro/internal/simtime"
 )
@@ -109,10 +110,10 @@ func Breaker(k int) PairOption {
 }
 
 // Redelivery bounds how many times a failed batch is re-offered to the
-// handler before being dropped (counted in Stats.ItemsDropped,
-// surfaced as EventDrop). Default 3; n == 0 restores at-most-once
-// delivery — a failed batch is dropped immediately; negative n is
-// rejected by Open.
+// handler before being dropped (counted in Stats.ItemsDropped, and a
+// drop record on the timeline). Default 3; n == 0 restores
+// at-most-once delivery — a failed batch is dropped immediately;
+// negative n is rejected by Open.
 func Redelivery(n int) PairOption {
 	return func(c *pairConfig) {
 		if n < 0 {
@@ -190,7 +191,7 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 	}
 	st := &pairState{
 		id:             id,
-		pred:           o.predictor(),
+		pred:           predict.DefaultFactory(),
 		planner:        planner,
 		lastDrain:      rt.now(),
 		pending:        p.q.Len,
@@ -213,9 +214,11 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		p.stampScratch = make([]int64, st.obs.stamps.Cap())
 	}
 	p.st = st
-	rt.trackPair(st)
-	if obs := rt.opts.observer; obs != nil {
-		obs(Event{Kind: EventPairOpen, Pair: id, At: time.Duration(rt.now())})
+	if pc.handlerTimeout > 0 {
+		p.overran = make(chan struct{}, 1)
+		p.watchdog = time.AfterFunc(time.Hour, p.overrun)
+		p.watchdog.Stop()
 	}
+	rt.trackPair(st)
 	return p, nil
 }

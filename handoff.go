@@ -33,7 +33,7 @@ func (p *Pair[T]) Handoff() ([]T, error) {
 	// If the owning manager already stopped (Runtime.Close raced in), its
 	// final sweep drains through the handler, so only items it never saw
 	// are left to take.
-	if !p.shut(take, take) {
+	if !p.shut(take) {
 		return nil, ErrClosed
 	}
 	return items, nil

@@ -15,6 +15,8 @@ const (
 	KindMigrate                    // pair moved between managers
 	KindQuarantine                 // breaker opened
 	KindRecover                    // breaker closed after a successful probe
+	KindDrop                       // items discarded: redelivery exhausted, or a final drain failed
+	KindOverrun                    // a handler ran past its HandlerTimeout deadline
 )
 
 var kindNames = [...]string{
@@ -24,6 +26,8 @@ var kindNames = [...]string{
 	KindMigrate:    "migrate",
 	KindQuarantine: "quarantine",
 	KindRecover:    "recover",
+	KindDrop:       "drop",
+	KindOverrun:    "overrun",
 }
 
 // String returns the wire name used by the /debug/timeline JSON dump.
@@ -45,8 +49,8 @@ type Record struct {
 	Manager int    // core manager that observed it
 	Slot    int64  // slot index at the event (-1 when not applicable)
 	Pair    uint64 // pair ID (0 for manager-level records)
-	Wake    uint64 // causing fire's Seq (drain records only)
-	Items   int    // items delivered (drain) or pending (fire/wake)
+	Wake    uint64 // causing fire's Seq (drain records only; 0 when no fire caused it)
+	Items   int    // delivered (drain), dropped (drop), batch size (overrun), pending (fire/wake)
 }
 
 // Timeline is a bounded lock-free ring of Records. Appends never block

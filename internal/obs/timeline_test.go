@@ -97,6 +97,8 @@ func TestKindString(t *testing.T) {
 		KindMigrate:    "migrate",
 		KindQuarantine: "quarantine",
 		KindRecover:    "recover",
+		KindDrop:       "drop",
+		KindOverrun:    "overrun",
 		Kind(0):        "unknown",
 		Kind(99):       "unknown",
 	} {

@@ -265,13 +265,13 @@ func TestSegmentPoolGeometry(t *testing.T) {
 }
 
 // TestSegmentPoolMakesChunksOnDemand: a pool makes a first chunk of
-// firstChunkSlots' worth of segments on first demand, then chunks as
-// large as everything made so far, and stops at its cap.
+// firstChunkSlots' worth of segments plus one on first demand, then
+// chunks as large as everything made so far, and stops at its cap.
 func TestSegmentPoolMakesChunksOnDemand(t *testing.T) {
 	const segSize, capSegs = 16, 200
 	p := NewSegmentPool[int](capSegs, segSize)
 	q := NewSegmentedSP(p, 2*capSegs*segSize)
-	first := firstChunkSlots / segSize
+	first := firstChunkSlots/segSize + 1
 	// Items pushed from a fresh queue start at a segment boundary, so
 	// k segments hold exactly k*segSize of them.
 	for _, step := range []struct{ items, made int }{
@@ -295,6 +295,37 @@ func TestSegmentPoolMakesChunksOnDemand(t *testing.T) {
 		t.Fatal("a push past the pool's cap was admitted")
 	}
 	checkPoolBooks(t, p, q)
+}
+
+// TestSegmentPoolPartReadHeadFits: a queue at a power-of-two quota whose
+// head segment is part-read needs quota/segSize + 1 segments. The pool
+// must not make a whole extra chunk, as large as everything it has
+// made, for that one segment: filled to quota, read 100 items, and
+// refilled, the queue's pool holds fewer than twice the segments the
+// quota alone needs.
+func TestSegmentPoolPartReadHeadFits(t *testing.T) {
+	const segSize = 16
+	for _, quota := range []int{1 << 10, 1 << 15, 1 << 16} {
+		p := NewSegmentPool[int](4*quota/segSize, segSize)
+		q := NewSegmentedSP(p, quota)
+		items := make([]int, 256)
+		fill := func() {
+			for q.Len() < quota {
+				if q.PushBatch(items[:min(len(items), quota-q.Len())]) == 0 {
+					t.Fatalf("quota %d: push refused at %d items", quota, q.Len())
+				}
+			}
+		}
+		fill()
+		for i := 0; i < 100; i++ {
+			q.Pop()
+		}
+		fill()
+		if need := quota/segSize + 1; p.made < need || p.made >= 2*(need-1) {
+			t.Fatalf("quota %d with a part-read head: pool made %d segments for the %d it needs", quota, p.made, need)
+		}
+		checkPoolBooks(t, p, q)
+	}
 }
 
 func TestSegmentPoolInvalid(t *testing.T) {

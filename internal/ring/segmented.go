@@ -17,9 +17,10 @@ type Seg[T any] struct {
 	next  atomic.Pointer[Seg[T]]
 }
 
-// firstChunkSlots is the slot count of a pool's first chunk: a queue
-// that never holds more than this many items makes exactly one chunk,
-// the first time it needs a segment.
+// firstChunkSlots is the slot count a pool's first chunk holds beyond
+// its one extra segment: a queue that never holds more than this many
+// items makes exactly one chunk, the first time it needs a segment, even
+// when its head segment is part-read.
 const firstChunkSlots = 1024
 
 // SegmentPool is the arena of fixed-size segments that Unbounded
@@ -32,9 +33,12 @@ const firstChunkSlots = 1024
 // pool, so a queue keeps the segments it once needed.
 //
 // The pool makes nothing at construction. When its free list runs dry
-// it makes a chunk: firstChunkSlots' worth of segments first, then each
-// time as many segments as it has made so far, never more than its cap
-// in all. It frees none of them, so once its queues have reached their
+// it makes a chunk: firstChunkSlots' worth of segments plus one first,
+// then each time as many segments as it has made so far, never more
+// than its cap in all. So it holds (firstChunkSlots/segSize + 1)·2ᵏ
+// segments after k+1 chunks, and a queue at a power-of-two quota Q ≥
+// firstChunkSlots, which needs Q/segSize segments plus one for a
+// part-read head, fits in exactly the chunks that Q alone would take. It frees none of them, so once its queues have reached their
 // high-water mark the pool allocates nothing more. The runtime gives
 // every pair a private pool capped at the most the quota ledger can
 // lend it, and the elastic walls between consumers are internal/buffer's
@@ -78,7 +82,7 @@ func (p *SegmentPool[T]) acquire() (*Seg[T], bool) {
 func (p *SegmentPool[T]) makeChunk() bool {
 	n := p.made
 	if n == 0 {
-		n = max(1, firstChunkSlots/p.segSize)
+		n = firstChunkSlots/p.segSize + 1
 	}
 	if n = min(n, p.cap-p.made); n == 0 {
 		return false

@@ -156,13 +156,8 @@ func TestStatsLedgerProbe(t *testing.T) {
 // right behind it loses no HandlerTimeouts. The handlers sleep around
 // their deadline to put the watchdog and the return in a race.
 func TestStatsLedgerWatchdog(t *testing.T) {
-	var overruns atomic.Int64
-	rt, err := New(WithSlotSize(time.Second), WithMaxLatency(time.Minute),
-		WithObserver(func(e Event) {
-			if e.Kind == EventOverrun {
-				overruns.Add(1)
-			}
-		}))
+	// Each pair leaves a handful of records; the ring must lose none.
+	rt, err := New(WithSlotSize(time.Second), WithMaxLatency(time.Minute), WithTimeline(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +184,15 @@ func TestStatsLedgerWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLedger(t, rt, calls.Load())
+	var overruns uint64
+	for _, r := range wholeTimeline(t, rt) {
+		if r.Kind == "overrun" {
+			overruns++
+		}
+	}
 	st := rt.Stats()
-	if st.HandlerTimeouts != uint64(overruns.Load()) {
-		t.Errorf("Stats().HandlerTimeouts = %d, watchdogs fired %d", st.HandlerTimeouts, overruns.Load())
+	if st.HandlerTimeouts != overruns {
+		t.Errorf("Stats().HandlerTimeouts = %d, overrun records %d", st.HandlerTimeouts, overruns)
 	}
 	if st.HandlerTimeouts == 0 {
 		t.Error("no watchdog fired; the test lost its race")

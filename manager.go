@@ -63,9 +63,10 @@ type pairState struct {
 	mgr atomic.Pointer[manager]
 
 	// drainFault drains the pair's queue through its handler with panic
-	// recovery, watchdog and redelivery handling, and counts the
-	// invocation (type erasure over Pair[T]; see drainMode).
-	drainFault func(mode drainMode) drainReport
+	// recovery, watchdog and redelivery handling, and counts and records
+	// the invocation; wake is the timeline Seq of the fire that caused it,
+	// 0 for none (type erasure over Pair[T]; see drainMode).
+	drainFault func(mode drainMode, wake uint64) drainReport
 	// pending returns the current queue length.
 	pending func() int
 	// quota returns the pair's current elastic queue quota.
@@ -365,16 +366,8 @@ func (m *manager) loop() {
 			}
 			if !p.closed.Load() {
 				m.forcedWakes.Add(1)
-				now := m.rt.now()
-				wake := m.rt.timelineAppend(obs.Record{
-					Kind:    obs.KindForcedWake,
-					Nanos:   int64(now),
-					Manager: m.id,
-					Slot:    m.rt.planner.Track.Index(now),
-					Pair:    uint64(p.id),
-					Items:   p.pending(),
-				})
-				m.drainAndPlan(p, now, false, wake)
+				wake := m.rt.record(obs.KindForcedWake, m.id, p.id, 0, p.pending())
+				m.drainAndPlan(p, m.rt.now(), wake)
 			}
 		case <-timerC:
 			m.onTimer()
@@ -398,20 +391,14 @@ func (m *manager) onTimer() {
 		p.reservedSlot = -1
 	}
 	m.timerWakes.Add(1)
-	wake := m.rt.timelineAppend(obs.Record{
-		Kind:    obs.KindTimerFire,
-		Nanos:   int64(now),
-		Manager: m.id,
-		Slot:    nowSlot,
-		Items:   len(m.due),
-	})
+	wake := m.rt.record(obs.KindTimerFire, m.id, 0, 0, len(m.due))
 	var t0 int64
 	o := m.rt.obs
 	if o != nil && o.hist {
 		t0 = o.clock.Precise()
 	}
 	for _, p := range m.due {
-		m.drainAndPlan(p, now, true, wake)
+		m.drainAndPlan(p, now, wake)
 	}
 	if o != nil && o.hist {
 		o.mgrDrain[m.id].Record(o.clock.Precise() - t0)
@@ -429,14 +416,14 @@ func (m *manager) onKick(p *pairState) {
 }
 
 // drainAndPlan runs one consumer invocation: drain through the handler
-// (with fault isolation), settle the breaker, and reserve the next
-// slot. scheduled distinguishes slot-timer drains from overflow-forced
-// ones; wake is the timeline sequence of the fire that triggered this
-// drain (0 when the timeline is off). A quarantined pair never drains
-// inline here: once its probe time arrives the half-open probe runs on
-// its own goroutine, so a handler that is still broken (or still
-// stalling) cannot re-block the other pairs sharing this manager.
-func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, wake uint64) {
+// (with fault isolation), settle the outcome, and reserve the next slot.
+// wake is the timeline Seq of the timer fire or forced wake that
+// triggered this drain (0 when the timeline is off). A quarantined pair
+// never drains inline here: once its probe time arrives the half-open
+// probe runs on its own goroutine, so a handler that is still broken
+// (or still stalling) cannot re-block the other pairs sharing this
+// manager.
+func (m *manager) drainAndPlan(p *pairState, now simtime.Time, wake uint64) {
 	m.deregister(p)
 	if p.quarantined.Load() {
 		if !p.probeDue(now) {
@@ -458,133 +445,83 @@ func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, w
 		p.labelOwner = m
 	}
 	pprof.SetGoroutineLabels(p.labelCtx)
-	rep := p.drainFault(drainWake)
+	rep := p.drainFault(drainWake, wake)
 	pprof.SetGoroutineLabels(m.labelCtx)
-	m.rt.timelineAppend(obs.Record{
-		Kind:    obs.KindDrain,
-		Nanos:   int64(m.rt.now()),
-		Manager: m.id,
-		Slot:    m.rt.planner.Track.Index(now),
-		Pair:    uint64(p.id),
-		Wake:    wake,
-		Items:   rep.delivered,
-	})
 	if rep.timedOut {
 		// The handler overran its deadline inline on this goroutine.
 		// Re-sample the clock so the next reservation charges the
 		// stolen time instead of pretending the drain was punctual.
 		now = m.rt.now()
 	}
-	if cb := m.rt.opts.observer; cb != nil {
-		cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(now), Items: rep.delivered, Scheduled: scheduled})
-	}
 	m.drains.Add(1)
-	if dt := now.Sub(p.lastDrain); dt > 0 {
-		p.pred.Observe(float64(rep.dequeued) / dt.Seconds())
-	}
-	p.lastDrain = now
-	m.settle(p, rep, now)
-}
-
-// settle applies one drain outcome to the pair's circuit breaker and
-// schedules what happens next: a normal plan, a redelivery slot, or a
-// quarantine probe. Runs on the owning manager's goroutine.
-func (m *manager) settle(p *pairState, rep drainReport, now simtime.Time) {
-	if p.closed.Load() {
-		return
-	}
-	if p.quarantined.Load() {
-		switch {
-		case rep.failed:
-			// Failed half-open probe: back off exponentially.
-			p.consecFails++
-			p.backoff *= 2
-			if p.backoff > p.maxBackoff {
-				p.backoff = p.maxBackoff
-			}
-			m.scheduleProbe(p, now)
-		case rep.attempted == 0:
-			// Nothing to prove (no retained batch, no probe fodder):
-			// hold the breaker state and probe again without widening
-			// the backoff.
-			m.scheduleProbe(p, now)
-		default:
-			// Successful delivery: close the breaker.
-			p.quarantined.Store(false)
-			p.consecFails = 0
-			p.backoff = 0
-			p.degraded.Store(false)
-			m.rt.recoveries.Add(1)
-			if cb := m.rt.opts.observer; cb != nil {
-				cb(Event{Kind: EventRecover, Pair: p.id, At: time.Duration(now)})
-			}
-			m.rt.timelineAppend(obs.Record{
-				Kind:    obs.KindRecover,
-				Nanos:   int64(now),
-				Manager: m.id,
-				Slot:    m.rt.planner.Track.Index(now),
-				Pair:    uint64(p.id),
-			})
-			m.plan(p, now)
-		}
-		return
-	}
-	if rep.failed {
-		p.consecFails++
-		if p.breakerK > 0 && p.consecFails >= p.breakerK {
-			p.quarantined.Store(true)
-			p.backoff = p.baseBackoff
-			p.quarantines.Add(1)
-			p.wakeProducers() // their retry now fails fast
-			if cb := m.rt.opts.observer; cb != nil {
-				cb(Event{Kind: EventQuarantine, Pair: p.id, At: time.Duration(now)})
-			}
-			m.rt.timelineAppend(obs.Record{
-				Kind:    obs.KindQuarantine,
-				Nanos:   int64(now),
-				Manager: m.id,
-				Slot:    m.rt.planner.Track.Index(now),
-				Pair:    uint64(p.id),
-			})
-			m.scheduleProbe(p, now)
-			return
-		}
-		if p.retained.Load() > 0 {
-			// Redeliver the failed batch at the next slot after one
-			// slot's grace.
-			p.armed.Store(true)
-			m.reserve(p, m.slotAfter(now.Add(p.baseBackoff)))
-			return
-		}
-		m.plan(p, now)
-		return
-	}
-	if rep.attempted > 0 {
-		p.consecFails = 0
-		p.degraded.Store(false)
-	}
+	p.settle(m, drainWake, rep, now)
 	m.plan(p, now)
 }
 
-// scheduleProbe reserves the pair's next half-open probe slot.
-func (m *manager) scheduleProbe(p *pairState, now simtime.Time) {
-	at := now.Add(p.backoff)
-	p.probeAt.Store(int64(at))
-	p.armed.Store(true)
-	m.reserve(p, m.slotAfter(at))
+// settle is where every drain a pair's breaker or predictor learns from
+// lands — a manager wake, a half-open probe, a migration's quiesce
+// drain: it feeds the rate predictor and moves the circuit breaker,
+// recording quarantine and recovery on the timeline. It schedules
+// nothing: the manager plans after it, and Runtime.migrate leaves the
+// plan to the target manager, whose hand-off kick schedules the probe,
+// redelivery or normal slot the outcome calls for (see plan). A wake
+// drain is always a rate sample; a probe or migration drain only when
+// it dequeued items, so it does not cut the sampling interval short.
+// Runs on m, the pair's owner.
+func (st *pairState) settle(m *manager, mode drainMode, rep drainReport, now simtime.Time) {
+	if st.closed.Load() {
+		return
+	}
+	if mode == drainWake || rep.dequeued > 0 {
+		if dt := now.Sub(st.lastDrain); dt > 0 {
+			st.pred.Observe(float64(rep.dequeued) / dt.Seconds())
+		}
+		st.lastDrain = now
+	}
+	quarantined := st.quarantined.Load()
+	switch {
+	case quarantined && rep.failed:
+		// Failed half-open probe: back off exponentially.
+		st.consecFails++
+		st.backoff = min(2*st.backoff, st.maxBackoff)
+		st.probeAt.Store(int64(now.Add(st.backoff)))
+	case quarantined && rep.attempted == 0:
+		// Nothing to prove (no retained batch, no probe fodder): probe
+		// again without widening the backoff.
+		st.probeAt.Store(int64(now.Add(st.backoff)))
+	case quarantined:
+		// Successful delivery: close the breaker.
+		st.quarantined.Store(false)
+		st.consecFails = 0
+		st.backoff = 0
+		st.degraded.Store(false)
+		m.rt.recoveries.Add(1)
+		m.rt.record(obs.KindRecover, m.id, st.id, 0, 0)
+	case rep.failed:
+		st.consecFails++
+		if st.breakerK > 0 && st.consecFails >= st.breakerK {
+			st.quarantined.Store(true)
+			st.backoff = st.baseBackoff
+			st.probeAt.Store(int64(now.Add(st.backoff)))
+			st.quarantines.Add(1)
+			st.wakeProducers() // their retry now fails fast
+			m.rt.record(obs.KindQuarantine, m.id, st.id, 0, 0)
+		}
+	case rep.attempted > 0:
+		st.consecFails = 0
+		st.degraded.Store(false)
+	}
 }
 
 // probe runs one half-open invocation of a quarantined pair on its own
 // goroutine and settles the outcome back on the owning manager.
 func (m *manager) probe(p *pairState) {
-	rep := p.drainFault(drainAside)
-	now := m.rt.now()
-	if cb := m.rt.opts.observer; cb != nil && rep.attempted > 0 {
-		cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(now), Items: rep.delivered})
-	}
+	rep := p.drainFault(drainAside, 0)
 	ok := p.runOnOwner(func(cur *manager) {
 		p.probing.Store(false)
-		cur.settle(p, rep, cur.rt.now())
+		now := cur.rt.now()
+		p.settle(cur, drainAside, rep, now)
+		cur.plan(p, now)
 	})
 	if !ok {
 		// Owner shut down mid-probe; Runtime.Close's final sweep picks
@@ -598,14 +535,15 @@ func (m *manager) slotAfter(t simtime.Time) int64 {
 	return m.rt.planner.Track.Index(t) + 1
 }
 
-// plan consults the shared PBPL planner and applies its decision.
+// plan consults the shared PBPL planner and applies its decision. A
+// quarantined pair gets its next half-open probe slot instead, and a
+// pair holding a failed batch its redelivery slot.
 func (m *manager) plan(p *pairState, now simtime.Time) {
 	if p.closed.Load() {
 		return
 	}
 	if p.quarantined.Load() {
-		// Hand-off or kick while quarantined: keep probing, never a
-		// normal reservation.
+		// Keep probing, never a normal reservation.
 		if p.reservedSlot < 0 && !p.probing.Load() {
 			at := simtime.Time(p.probeAt.Load())
 			if at < now {
@@ -617,8 +555,8 @@ func (m *manager) plan(p *pairState, now simtime.Time) {
 		return
 	}
 	if p.retained.Load() > 0 && p.reservedSlot < 0 {
-		// A failed batch awaits redelivery (e.g. right after a
-		// migration hand-off): schedule it ahead of normal planning.
+		// A failed batch awaits redelivery: schedule it one slot's
+		// grace ahead, before normal planning.
 		p.armed.Store(true)
 		m.reserve(p, m.slotAfter(now.Add(p.baseBackoff)))
 		return
@@ -635,9 +573,6 @@ func (m *manager) plan(p *pairState, now simtime.Time) {
 		// Going idle: allow producers to re-arm us, then re-check for
 		// an item that raced in between the pending() read and the
 		// flag flip.
-		if cb := m.rt.opts.observer; cb != nil {
-			cb(Event{Kind: EventIdle, Pair: p.id, At: time.Duration(now)})
-		}
 		p.armed.Store(false)
 		if p.pending() > 0 && !p.armed.Swap(true) {
 			m.plan(p, now)
@@ -645,9 +580,6 @@ func (m *manager) plan(p *pairState, now simtime.Time) {
 		return
 	}
 	p.armed.Store(true)
-	if cb := m.rt.opts.observer; cb != nil {
-		cb(Event{Kind: EventReserve, Pair: p.id, At: time.Duration(now), Slot: plan.Slot})
-	}
 	m.reserve(p, plan.Slot)
 }
 
@@ -694,10 +626,7 @@ func (m *manager) finalDrain() {
 		p.reservedSlot = -1
 	}
 	for p := range seen {
-		rep := p.drainFault(drainFinal)
-		if cb := m.rt.opts.observer; cb != nil && rep.attempted > 0 {
-			cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(m.rt.now()), Items: rep.delivered})
-		}
+		p.drainFault(drainFinal, 0)
 	}
 }
 

@@ -266,10 +266,12 @@ func (rt *Runtime) LatencyTotals() (wait, done LatencyDist, ok bool) {
 
 // TimelineRecord is one wakeup-timeline entry as dumped by
 // Runtime.TimelineDump and served by pcd's /debug/timeline — the live
-// analogue of one mark on the paper's Fig. 6 timelines. A drain
-// record's Wake equals the Seq of the timer-fire or forced-wake that
-// triggered it, so several drains sharing one Wake are the latching
-// payoff made visible.
+// analogue of one mark on the paper's Fig. 6 timelines. Kind is one of
+// timer-fire, forced-wake, drain, drop, overrun, quarantine, recover or
+// migrate. A drain record's Wake equals the Seq of the timer-fire or
+// forced-wake that triggered it (0 for a probe, migration or final
+// drain), so several drains sharing one Wake are the latching payoff
+// made visible.
 type TimelineRecord struct {
 	Seq     uint64 `json:"seq"`
 	Kind    string `json:"kind"`
@@ -320,11 +322,25 @@ func (rt *Runtime) TimelineCap() int {
 	return rt.obs.timeline.Cap()
 }
 
-// timelineAppend records one timeline event if the ring is enabled,
-// returning its sequence number (0 when disabled).
-func (rt *Runtime) timelineAppend(r obs.Record) uint64 {
+// record appends one event to the wakeup timeline, the runtime's one
+// event record, stamped with the current time and slot, and returns its
+// Seq. With the timeline off it costs one nil check and returns 0.
+// Every kind has exactly one call site: timer fires in manager.onTimer,
+// forced wakes in manager.loop, drains in Pair.drainFault, drops in
+// Pair.dropBatch, overruns in Pair.overrun, quarantine and recovery in
+// pairState.settle, migrations in Runtime.migrate.
+func (rt *Runtime) record(kind obs.Kind, mgr, pair int, wake uint64, items int) uint64 {
 	if rt.obs == nil || rt.obs.timeline == nil {
 		return 0
 	}
-	return rt.obs.timeline.Append(r)
+	now := rt.now()
+	return rt.obs.timeline.Append(obs.Record{
+		Kind:    kind,
+		Nanos:   int64(now),
+		Manager: mgr,
+		Slot:    rt.planner.Track.Index(now),
+		Pair:    uint64(pair),
+		Wake:    wake,
+		Items:   items,
+	})
 }

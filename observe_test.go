@@ -304,7 +304,7 @@ func TestTimelineStorm(t *testing.T) {
 }
 
 // TestTimelineEventKinds: every instrumented transition shows up in the
-// dump — fires, drains, forced wakes, quarantine, recovery, migration.
+// dump — fires, drains, forced wakes, drops, quarantine, recovery.
 func TestTimelineEventKinds(t *testing.T) {
 	rt, err := New(
 		WithManagers(2),
@@ -354,7 +354,7 @@ func TestTimelineEventKinds(t *testing.T) {
 			kinds[r.Kind]++
 		}
 		if kinds["timer-fire"] > 0 && kinds["drain"] > 0 && kinds["forced-wake"] > 0 &&
-			kinds["quarantine"] > 0 && kinds["recover"] > 0 {
+			kinds["drop"] > 0 && kinds["quarantine"] > 0 && kinds["recover"] > 0 {
 			return
 		}
 	}

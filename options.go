@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/predict"
 )
 
 // Errors returned by the runtime.
@@ -34,11 +32,8 @@ type options struct {
 	maxLatency time.Duration
 	buffer     int
 	minQuota   int
-	headroom   float64
 	maxPairs   int
 	segSize    int
-	predictor  predict.Factory
-	observer   func(Event)
 
 	consolidate *ConsolidationConfig
 	powercap    *PowerCapConfig
@@ -46,9 +41,7 @@ type options struct {
 	histograms  bool
 	timelineCap int
 
-	disableLatching   bool
-	disableResizing   bool
-	disablePrediction bool
+	disableResizing bool
 
 	// Eq. 8 energy constants; defaults approximate a mobile-class core
 	// (they only steer the latch-vs-new-slot trade, not correctness).
@@ -61,6 +54,10 @@ type options struct {
 	errs []error
 }
 
+// headroom is the target buffer utilization η of every live pair:
+// quotas are sized to predicted need / η.
+const headroom = 0.7
+
 func defaultOptions() options {
 	return options{
 		managers:      1,
@@ -68,10 +65,8 @@ func defaultOptions() options {
 		maxLatency:    200 * time.Millisecond,
 		buffer:        64,
 		minQuota:      2,
-		headroom:      0.7,
 		maxPairs:      64,
 		segSize:       16,
-		predictor:     predict.DefaultFactory,
 		omegaMicro:    38.5,
 		perItemMicro:  1.7,
 		overheadMicro: 6.8,
@@ -97,17 +92,11 @@ func (o options) validate() error {
 	if o.minQuota < 1 || o.minQuota > o.buffer {
 		return fmt.Errorf("repro: min quota %d outside [1, %d]", o.minQuota, o.buffer)
 	}
-	if o.headroom <= 0 || o.headroom > 1 {
-		return fmt.Errorf("repro: headroom %v outside (0, 1]", o.headroom)
-	}
 	if o.maxPairs < 1 {
 		return fmt.Errorf("repro: max pairs %d < 1", o.maxPairs)
 	}
 	if o.segSize < 1 {
 		return fmt.Errorf("repro: segment size %d < 1", o.segSize)
-	}
-	if o.predictor == nil {
-		return fmt.Errorf("repro: nil predictor factory")
 	}
 	if o.omegaMicro <= 0 || o.perItemMicro <= 0 || o.overheadMicro < 0 {
 		return fmt.Errorf("repro: non-positive energy constants")
@@ -130,14 +119,13 @@ func (o options) validate() error {
 // concerns:
 //
 //   - Scheduling — when consumers wake: WithManagers, WithSlotSize,
-//     WithMaxLatency, WithPredictor, WithConsolidation, and the
-//     ablation switches WithoutLatching / WithoutResizing /
-//     WithoutPrediction, plus the Eq. 8 energy constants steering the
-//     latch-vs-new-slot trade.
+//     WithMaxLatency, WithConsolidation, WithPowerCap. Each pair
+//     predicts its rate with the paper's moving average (window 8) and
+//     sizes its quota for a buffer utilization of 0.7.
 //   - Buffering — where items wait: WithBuffer, WithMinQuota,
-//     WithHeadroom, WithMaxPairs.
-//   - Observability — what the runtime reports: WithObserver,
-//     WithHistograms, WithTimeline.
+//     WithMaxPairs, and WithoutResizing, which pins every quota at B0.
+//   - Observability — what the runtime reports: WithHistograms, and
+//     WithTimeline, the one record of the runtime's events.
 //
 // Invalid arguments are reported as an error from New, never silently
 // adjusted.
@@ -165,21 +153,11 @@ func WithBuffer(b int) Option { return func(o *options) { o.buffer = b } }
 // Default 2. Buffering concern.
 func WithMinQuota(n int) Option { return func(o *options) { o.minQuota = n } }
 
-// WithHeadroom sets the target buffer utilization η in (0,1]; quotas
-// are sized to predicted-need/η. Default 0.7. Buffering concern.
-func WithHeadroom(h float64) Option { return func(o *options) { o.headroom = h } }
-
 // WithMaxPairs caps concurrently open pairs, and so bounds the global
 // pool B0 × MaxPairs and the most quota one pair can be lent. Each pair
 // makes its ring's segments as it first needs them, up to that bound.
 // Default 64. Buffering concern.
 func WithMaxPairs(n int) Option { return func(o *options) { o.maxPairs = n } }
-
-// WithPredictor sets the rate predictor factory (each pair gets its own
-// instance). Default: the paper's moving average with window 8; see
-// internal/predict for EWMA and Kalman variants via
-// predict.FactoryByName. Scheduling concern.
-func WithPredictor(f predict.Factory) Option { return func(o *options) { o.predictor = f } }
 
 // WithConsolidation enables the placement controller: a background
 // goroutine that periodically packs pairs onto the fewest managers
@@ -202,10 +180,11 @@ func WithConsolidation(cfg ConsolidationConfig) Option {
 // histogram's resolution bound.
 func WithHistograms() Option { return func(o *options) { o.histograms = true } }
 
-// WithTimeline enables the bounded in-memory wakeup timeline — timer
-// fires, forced wakes, latched drains, migrations and breaker
-// transitions, dumpable via Runtime.TimelineDump (pcd serves it at
-// /debug/timeline) as the live analogue of the paper's Fig. 6. The
+// WithTimeline enables the bounded in-memory wakeup timeline, the
+// runtime's one event record — timer fires, forced wakes, drains,
+// drops, handler overruns, migrations and breaker transitions,
+// dumpable via Runtime.TimelineDump (pcd serves it at /debug/timeline)
+// as the live analogue of the paper's Fig. 6. The
 // ring keeps the most recent `capacity` records (rounded up to a
 // power of two). capacity must be positive: New rejects ≤ 0 with an
 // error (TimelineDefaultCap is a reasonable choice). Observability
@@ -223,12 +202,6 @@ func WithTimeline(capacity int) Option {
 // TimelineDefaultCap is the recommended WithTimeline capacity.
 const TimelineDefaultCap = 4096
 
-// WithoutLatching disables reservation latching (ablation/debugging).
-func WithoutLatching() Option { return func(o *options) { o.disableLatching = true } }
-
 // WithoutResizing pins every pair's quota at B0 (ablation/debugging).
+// Buffering concern.
 func WithoutResizing() Option { return func(o *options) { o.disableResizing = true } }
-
-// WithoutPrediction degrades to fixed every-slot periodic batching
-// (ablation/debugging).
-func WithoutPrediction() Option { return func(o *options) { o.disablePrediction = true } }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/ring"
 )
 
@@ -46,18 +47,20 @@ type Pair[T any] struct {
 	// waiter is the single producer's reused AwaitDrain state; nil with
 	// ConcurrentProducers, whose producers each make their own.
 	waiter *waiter
+
+	// The handler watchdog, built at Open when HandlerTimeout is set and
+	// re-armed by each invocation that runs the handler (guarded by
+	// drainMu): watchdog is a stopped timer whose function is overrun,
+	// overran receives one token per overrun that fired, and
+	// watchedItems is the batch size the overrun records.
+	watchdog     *time.Timer
+	overran      chan struct{}
+	watchedItems int
 }
 
 // ID returns the pair's runtime-assigned id, the key that joins this
-// pair to its Runtime.PairSnapshots entry and observer events.
+// pair to its Runtime.PairSnapshots entry and its timeline records.
 func (p *Pair[T]) ID() int { return p.st.id }
-
-// event emits an observer event for this pair.
-func (p *Pair[T]) event(kind EventKind, items int) {
-	if obs := p.rt.opts.observer; obs != nil {
-		obs(Event{Kind: kind, Pair: p.st.id, At: time.Duration(p.rt.now()), Items: items})
-	}
-}
 
 // drainFault runs one fault-isolated consumer invocation: redeliver a
 // previously failed batch first (those items are older than anything
@@ -71,21 +74,23 @@ func (p *Pair[T]) event(kind EventKind, items int) {
 // Every counter a drain moves, the invocation included, is written
 // under drainMu. A half-open probe drains off the manager goroutine; a
 // closing pair's final drain takes the lock after it, so the probe's
-// counts land before the pair retires (see shut).
-func (p *Pair[T]) drainFault(mode drainMode) (rep drainReport) {
+// counts land before the pair retires (see shut). Each counted
+// invocation is one drain record on the timeline, whatever path ran it;
+// wake is the Seq of the fire that caused it, 0 for none.
+func (p *Pair[T]) drainFault(mode drainMode, wake uint64) (rep drainReport) {
 	final := mode == drainFinal
 	p.drainMu.Lock()
 	defer p.drainMu.Unlock()
 	defer func() {
 		if rep.attempted > 0 || mode == drainWake {
 			p.st.invocations.Add(1)
+			p.rt.record(obs.KindDrain, p.st.mgr.Load().id, p.st.id, wake, rep.delivered)
 		}
 	}()
 
 	if len(p.retry) > 0 {
 		p.retryAttempts++
 		p.st.redeliveries.Add(1)
-		p.event(EventRedeliver, len(p.retry))
 		if p.invoke(p.retry, &rep) {
 			p.deliver(len(p.retry), &rep)
 			// Redelivered items' done-latency spans the retry delay:
@@ -189,25 +194,15 @@ func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
 		trace.Logf(ctx, "pbpl", "pair=%d batch=%d", p.st.id, len(batch))
 		defer trace.StartRegion(ctx, "pbpl.handler").End()
 	}
-	var watchdog *time.Timer
 	if d := p.st.handlerTimeout; d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
-		n := len(batch)
-		fired := make(chan struct{})
-		watchdog = time.AfterFunc(d, func() {
-			defer close(fired)
-			// The handler is still running past its deadline. Flag it
-			// now (not at return, which may never come) so snapshots
-			// and the event stream see the overrun while it happens.
-			p.st.degraded.Store(true)
-			p.st.timeouts.Add(1)
-			p.event(EventOverrun, n)
-		})
+		p.watchedItems = len(batch)
+		p.watchdog.Reset(d)
 		defer func() {
-			if !watchdog.Stop() {
-				<-fired // count the overrun inside this drain, not after it
+			if !p.watchdog.Stop() {
+				<-p.overran // count the overrun inside this drain, not after it
 			}
 		}()
 	}
@@ -238,6 +233,16 @@ func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
 	return true
 }
 
+// overrun is the watchdog's function: the handler is still running past
+// its deadline. It flags the overrun now (not at return, which may
+// never come) so snapshots and the timeline see it while it happens.
+func (p *Pair[T]) overrun() {
+	p.st.degraded.Store(true)
+	p.st.timeouts.Add(1)
+	p.rt.record(obs.KindOverrun, p.st.mgr.Load().id, p.st.id, 0, p.watchedItems)
+	p.overran <- struct{}{}
+}
+
 // deliver credits n successfully handled items.
 func (p *Pair[T]) deliver(n int, rep *drainReport) {
 	rep.delivered += n
@@ -249,7 +254,7 @@ func (p *Pair[T]) deliver(n int, rep *drainReport) {
 func (p *Pair[T]) dropBatch(n int, rep *drainReport) {
 	rep.dropped += n
 	p.st.dropped.Add(uint64(n))
-	p.event(EventDrop, n)
+	p.rt.record(obs.KindDrop, p.st.mgr.Load().id, p.st.id, 0, n)
 }
 
 func (p *Pair[T]) clearRetry() {
@@ -292,7 +297,7 @@ func (p *Pair[T]) Put(v T) error {
 		// sweep may already have run: drain on the caller rather than
 		// strand the item. The item was accepted and handled, so report
 		// success.
-		p.drainFault(drainFinal)
+		p.drainFault(drainFinal, 0)
 		return nil
 	}
 	p.kickIfUnarmed()
@@ -335,7 +340,7 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 		}
 		if p.rt.closed.Load() {
 			// Same close race as Put: drain on the caller.
-			p.drainFault(drainFinal)
+			p.drainFault(drainFinal, 0)
 		} else {
 			p.kickIfUnarmed()
 		}
@@ -428,25 +433,18 @@ func (p *Pair[T]) Quarantined() bool { return p.st.quarantined.Load() }
 // still in flight when Close begins is outside the contract, and its
 // item may be left undrained.
 func (p *Pair[T]) Close() error {
-	p.shut(func() {
-		if rep := p.drainFault(drainFinal); rep.attempted > 0 {
-			p.event(EventDrain, rep.delivered)
-		}
-	}, func() {
-		// Manager already stopped: it drained every pair it knew in
-		// finalDrain; catch only what is left here.
-		p.drainFault(drainFinal)
-	})
+	p.shut(func() { p.drainFault(drainFinal, 0) })
 	return nil
 }
 
 // shut closes the pair once, reporting false if it already was: it wakes
 // waiting producers, runs final on the owning manager with the pair off
-// its calendar (or stopped here, once the managers' goroutines have
-// exited), and unregisters the pair. Its counters retire then, so final
-// and stopped count whatever they move before returning, and no manager
-// is left to count more.
-func (p *Pair[T]) shut(final, stopped func()) bool {
+// its calendar (or here, once the managers' goroutines have exited: they
+// drained every pair they knew, so final catches only what is left), and
+// unregisters the pair. Its counters retire then, so final counts
+// whatever it moves before returning, and no manager is left to count
+// more.
+func (p *Pair[T]) shut(final func()) bool {
 	if p.st.closed.Swap(true) {
 		return false
 	}
@@ -458,11 +456,8 @@ func (p *Pair[T]) shut(final, stopped func()) bool {
 		for _, m := range p.rt.managers {
 			<-m.exited // the pair's owner, even one a migration just made
 		}
-		stopped()
+		final()
 	}
 	p.rt.removePair(p.st)
-	if obs := p.rt.opts.observer; obs != nil {
-		obs(Event{Kind: EventPairClose, Pair: p.st.id, At: time.Duration(p.rt.now())})
-	}
 	return true
 }

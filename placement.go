@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -230,11 +229,13 @@ func (pc *placementController) step() {
 // reordering. The protocol: on the source manager's goroutine, drop
 // the pair's reservation, quiesce-drain any buffered items (a normal
 // consumer invocation — the manager is already awake serving the
-// command, so no wakeup is charged), then publish the new owner. The
-// segmented ring and its quota travel with the pair untouched — only
-// ownership changes. A hand-off kick makes the target re-plan the
-// pair, covering any producer kick that raced to the old manager.
-// Must not be called from a manager goroutine (it blocks on one).
+// command, so no wakeup is charged) and settle its outcome, then
+// publish the new owner. The segmented ring and its quota travel with
+// the pair untouched — only ownership changes. A hand-off kick makes
+// the target plan the pair: the probe, redelivery or normal slot the
+// settled outcome calls for, covering any producer kick that raced to
+// the old manager. Must not be called from a manager goroutine (it
+// blocks on one).
 func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 	if st == nil || to == nil {
 		return false
@@ -248,41 +249,12 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 			return
 		}
 		from.deregister(st)
-		now := rt.now()
 		if !st.quarantined.Load() {
 			// Quarantined pairs move without a quiesce drain: running a
 			// known-broken handler inline on the source would re-block
 			// it, and the retained batch travels with the pair anyway.
-			rep := st.drainFault(drainAside)
-			if cb := rt.opts.observer; cb != nil && rep.attempted > 0 {
-				cb(Event{Kind: EventDrain, Pair: st.id, At: time.Duration(now), Items: rep.delivered})
-			}
-			if rep.dequeued > 0 {
-				if dt := now.Sub(st.lastDrain); dt > 0 {
-					st.pred.Observe(float64(rep.dequeued) / dt.Seconds())
-					st.lastRate.Store(math.Float64bits(st.pred.Predict()))
-				}
-				st.lastDrain = now
-			}
-			// Breaker bookkeeping only — no reservation may land on the
-			// source; the hand-off kick makes the target schedule the
-			// probe or redelivery slot.
-			if rep.failed {
-				st.consecFails++
-				if st.breakerK > 0 && st.consecFails >= st.breakerK {
-					st.quarantined.Store(true)
-					st.backoff = st.baseBackoff
-					st.probeAt.Store(int64(now.Add(st.backoff)))
-					st.quarantines.Add(1)
-					st.wakeProducers()
-					if cb := rt.opts.observer; cb != nil {
-						cb(Event{Kind: EventQuarantine, Pair: st.id, At: time.Duration(now)})
-					}
-				}
-			} else if rep.attempted > 0 {
-				st.consecFails = 0
-				st.degraded.Store(false)
-			}
+			now := rt.now()
+			st.settle(from, drainAside, st.drainFault(drainAside, 0), now)
 		}
 		st.mgr.Store(to)
 		moved.Store(true)
@@ -291,17 +263,7 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 		return false
 	}
 	rt.migrations.Add(1)
-	now := rt.now()
-	if cb := rt.opts.observer; cb != nil {
-		cb(Event{Kind: EventMigrate, Pair: st.id, At: time.Duration(now), Manager: to.id})
-	}
-	rt.timelineAppend(obs.Record{
-		Kind:    obs.KindMigrate,
-		Nanos:   int64(now),
-		Manager: to.id,
-		Slot:    rt.planner.Track.Index(now),
-		Pair:    uint64(st.id),
-	})
+	rt.record(obs.KindMigrate, to.id, st.id, 0, 0)
 	select {
 	case to.kick <- st:
 	case <-to.done:

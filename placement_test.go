@@ -12,20 +12,12 @@ import (
 // accepted item arrives exactly once, in order. Run with -race: the
 // ownership hand-over is the point of the test.
 func TestMigrationConservationAndFIFO(t *testing.T) {
-	var migrateEvents atomic.Uint64
 	rt, err := New(
 		WithManagers(4),
 		WithSlotSize(2*time.Millisecond),
 		WithMaxLatency(20*time.Millisecond),
 		WithBuffer(256),
-		WithObserver(func(e Event) {
-			if e.Kind == EventMigrate {
-				if e.Manager < 0 || e.Manager >= 4 {
-					panic("migrate event with manager out of range")
-				}
-				migrateEvents.Add(1)
-			}
-		}),
+		WithTimeline(1<<16), // room for every drain and migration
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +95,18 @@ func TestMigrationConservationAndFIFO(t *testing.T) {
 	if s := rt.Stats(); s.Migrations != migrations {
 		t.Fatalf("Stats.Migrations = %d, want %d", s.Migrations, migrations)
 	}
-	if e := migrateEvents.Load(); e != migrations {
-		t.Fatalf("observer saw %d migrate events, want %d", e, migrations)
+	var recorded uint64
+	for _, r := range wholeTimeline(t, rt) {
+		if r.Kind != "migrate" {
+			continue
+		}
+		recorded++
+		if r.Manager < 0 || r.Manager >= len(rt.managers) || r.Pair != p.ID() {
+			t.Fatalf("migrate record %+v: manager out of range or wrong pair", r)
+		}
+	}
+	if recorded != migrations {
+		t.Fatalf("%d migrate records, want %d", recorded, migrations)
 	}
 }
 

@@ -105,16 +105,14 @@ func New(opts ...Option) (*Runtime, error) {
 		pairs: make(map[int]*pairState),
 		pool:  buffer.NewEmptyPool(o.buffer, o.minQuota),
 		planner: &core.Planner{
-			Track:             track.New(simtime.Duration(o.slotSize), 0),
-			B0:                o.buffer,
-			MaxLatency:        simtime.Duration(o.maxLatency),
-			Headroom:          o.headroom,
-			OmegaMicro:        o.omegaMicro,
-			PerItemMicro:      o.perItemMicro,
-			OverheadMicro:     o.overheadMicro,
-			DisableLatching:   o.disableLatching,
-			DisableResizing:   o.disableResizing,
-			DisablePrediction: o.disablePrediction,
+			Track:           track.New(simtime.Duration(o.slotSize), 0),
+			B0:              o.buffer,
+			MaxLatency:      simtime.Duration(o.maxLatency),
+			Headroom:        headroom,
+			OmegaMicro:      o.omegaMicro,
+			PerItemMicro:    o.perItemMicro,
+			OverheadMicro:   o.overheadMicro,
+			DisableResizing: o.disableResizing,
 			// Shared ω multiplier: pair-specific planner copies (per-pair
 			// MaxLatency) inherit the handle, so the power-cap controller
 			// throttles every pair with one Set.
@@ -293,7 +291,7 @@ func (rt *Runtime) Close() error {
 	// post-push closed re-check catches enqueues that land after this
 	// sweep (see Pair.Put).
 	for _, st := range rt.openStates() {
-		st.drainFault(drainFinal)
+		st.drainFault(drainFinal, 0)
 	}
 	if rt.obs != nil && rt.obs.clock != nil {
 		rt.obs.clock.Stop()

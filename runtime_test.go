@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/predict"
 )
 
 // waitFor polls cond with a deadline; the test box may be single-core
@@ -30,10 +28,7 @@ func TestNewValidation(t *testing.T) {
 		WithMaxLatency(time.Millisecond), // below default slot
 		WithBuffer(0),
 		WithMinQuota(0),
-		WithHeadroom(0),
-		WithHeadroom(1.5),
 		WithMaxPairs(0),
-		WithPredictor(nil),
 	}
 	for i, opt := range bad {
 		if _, err := New(opt); err == nil {
@@ -482,67 +477,35 @@ func TestLiveLatching(t *testing.T) {
 	}
 }
 
+// TestAblationOptionsRun: a runtime with resizing off (every quota
+// pinned at B0) still delivers every item.
 func TestAblationOptionsRun(t *testing.T) {
-	for _, opt := range []Option{WithoutLatching(), WithoutResizing(), WithoutPrediction()} {
-		rt, err := New(opt, WithSlotSize(5*time.Millisecond), WithMaxLatency(25*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mu sync.Mutex
-		got := 0
-		pair, err := Open(rt, Batch(func(batch []int) {
-			mu.Lock()
-			got += len(batch)
-			mu.Unlock()
-		}))
-
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			for pair.Put(i) != nil {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		if !waitFor(t, 3*time.Second, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return got == 50
-		}) {
-			t.Fatalf("ablation runtime lost items: %d of 50", got)
-		}
-		rt.Close()
-	}
-}
-
-func TestCustomPredictor(t *testing.T) {
-	rt, err := New(
-		WithPredictor(func() predict.Predictor { return predict.NewKalman(1e5, 1e6) }),
-		WithSlotSize(5*time.Millisecond), WithMaxLatency(25*time.Millisecond),
-	)
+	rt, err := New(WithoutResizing(), WithSlotSize(5*time.Millisecond), WithMaxLatency(25*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	done := make(chan struct{}, 1)
+	var mu sync.Mutex
+	got := 0
 	pair, err := Open(rt, Batch(func(batch []int) {
-		select {
-		case done <- struct{}{}:
-		default:
-		}
+		mu.Lock()
+		got += len(batch)
+		mu.Unlock()
 	}))
-
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pair.Close()
-	if err := pair.Put(1); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 50; i++ {
+		for pair.Put(i) != nil {
+			time.Sleep(time.Millisecond)
+		}
 	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Kalman-predicted pair never drained")
+	if !waitFor(t, 3*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return got == 50
+	}) {
+		t.Fatalf("ablation runtime lost items: %d of 50", got)
 	}
 }
 
