@@ -478,7 +478,8 @@ func TestClusterFleetPacksLightLoad(t *testing.T) {
 // IngestForwarded into the key's pair, and the ack back to A.
 // allocs/item and B/item are process-wide, so B's drains and both
 // nodes' heartbeats are in them; scripts/alloc_gate.sh holds the hop to
-// one slab per frame, of the frame's payload bytes.
+// no payload memory: B's stream copies each frame's payloads out of the
+// connection's reused buffer into its arena.
 func BenchmarkForwardHop(b *testing.B) {
 	const n = 64
 	discard := func(cfg *server.Config) { cfg.HandlerFor = nil }

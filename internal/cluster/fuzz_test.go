@@ -12,8 +12,8 @@ import (
 // protocol bounds, has every item lying inside the input (sub-slices,
 // never copies or out-of-bounds views), survives a re-encode /
 // re-decode round trip unchanged, and decodes the same through a
-// connection's reused decoder as fresh — the properties the node loop
-// relies on.
+// connection's reused decoder as fresh, into views of its buffer — the
+// properties the node loop relies on.
 func FuzzDecodeFrame(f *testing.F) {
 	enc := func(fr Frame) []byte {
 		b, err := EncodeFrame(fr)
@@ -78,31 +78,31 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // checkReusedDecode reads a binary frame twice off one connection
 // through one decoder: both reads must agree with the fresh decode, and
-// the first read's fwd/mig payloads must survive the second read and
-// the decoder's buffers being overwritten — the pair keeps them.
+// both reads' items must be views of the decoder's one reused buffer —
+// nothing on the wire path copies a payload, so the stream that admits
+// them owns the only copy, and must take it before the next read.
 func checkReusedDecode(t *testing.T, data []byte, fresh Frame) {
 	t.Helper()
 	br := bufio.NewReader(bytes.NewReader(append(slices.Clip(data), data...)))
 	var dec frameDecoder
-	var kept [][]byte
+	var first [][]byte
 	for i := 0; i < 2; i++ {
 		got, err := readFrame(br, &dec)
 		if err != nil || !sameFrame(got, fresh) {
 			t.Fatalf("read %d through a reused decoder: %+v, %v; fresh decode %+v", i, got, err, fresh)
 		}
 		if i == 0 {
-			kept = slices.Clone(got.Items)
+			first = slices.Clone(got.Items)
+		}
+		for j, it := range got.Items {
+			if !inside(it, dec.body) {
+				t.Fatalf("read %d: item %d is not a view of the decoder's buffer", i, j)
+			}
 		}
 	}
-	clear(dec.items)
-	for i := range dec.body {
-		dec.body[i] ^= 0xFF
-	}
-	if keepsPayload(data[1]) {
-		for i, it := range kept {
-			if !bytes.Equal(it, fresh.Items[i]) {
-				t.Fatalf("item %d changed under a reused decoder: %q, want %q", i, it, fresh.Items[i])
-			}
+	for j, it := range first {
+		if !inside(it, dec.body) {
+			t.Fatalf("item %d of the first read is not in the buffer the second reused", j)
 		}
 	}
 }

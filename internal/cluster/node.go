@@ -56,14 +56,15 @@ func chunkEnd(items [][]byte, off int) int {
 // right buffer budget.
 type Backend interface {
 	// IngestForwarded admits a peer's forwarded items. The items slice
-	// is the caller's; the payloads may be kept, so none may lie in a
-	// buffer the caller reuses (see server.PackItems).
+	// and the payloads are the caller's, valid only during the call (a
+	// received frame's items are views of the connection's reused read
+	// buffer): an implementation copies what it keeps.
 	IngestForwarded(tenant, key string, items [][]byte) (server.IngestResult, error)
 	// IngestHandoff admits migrated items. cont marks a continuation of
 	// a hand-off already under way (a later chunk, or a requeue retry of
 	// a previously failed ship) so stream-level migration counters are
-	// bumped once per hand-off, not once per frame. The items slice is
-	// the caller's; the payloads may be kept, as for IngestForwarded.
+	// bumped once per hand-off, not once per frame. As for
+	// IngestForwarded, an implementation copies what it keeps.
 	IngestHandoff(tenant, key string, items [][]byte, cont bool) (server.IngestResult, error)
 	// DetachStream also reports the tenant the stream was bound to, so
 	// the hand-off keeps its attribution at the new owner.
@@ -310,6 +311,22 @@ func (n *Node) putStash(key, tenant string, items [][]byte) {
 	n.stashMu.Unlock()
 }
 
+// cloneItems copies items into one slab of exactly their bytes.
+func cloneItems(items [][]byte) [][]byte {
+	size := 0
+	for _, it := range items {
+		size += len(it)
+	}
+	slab := make([]byte, 0, size)
+	out := make([][]byte, len(items))
+	for i, it := range items {
+		off := len(slab)
+		slab = append(slab, it...)
+		out[i] = slab[off:len(slab):len(slab)]
+	}
+	return out
+}
+
 // takeStash removes and returns everything stashed for a stream.
 func (n *Node) takeStash(key string) (tenant string, items [][]byte) {
 	n.stashMu.Lock()
@@ -421,17 +438,16 @@ func (n *Node) Forward(tenant, key string, items [][]byte) (server.IngestResult,
 		}
 		// Partial delivery: keep the rest here rather than lose or
 		// duplicate it. Forwarded-ingest is the right local path —
-		// these items must not bounce back out. Both ways below keep
-		// the items, which are the caller's: they get a packed copy.
-		rest = server.PackItems(nil, rest)
+		// these items must not bounce back out.
 		local, lerr := n.backend.IngestForwarded(tenant, key, rest)
 		if lerr != nil {
 			// Local re-admission failed too (drain race). Earlier chunks
 			// were already delivered, so an error here would make the
 			// caller re-ingest them: stash the remainder for the sweep
-			// instead and report it accepted-in-flight.
+			// instead and report it accepted-in-flight. The items are
+			// the caller's, so the stash keeps a copy.
 			n.requeueFailed.Add(uint64(len(rest)))
-			n.putStash(key, tenant, rest)
+			n.putStash(key, tenant, cloneItems(rest))
 			n.cfg.Logf("cluster: node %s stashed %d undeliverable forwarded items for %q: %v",
 				n.cfg.NodeID, len(rest), key, lerr)
 			res.Accepted += len(rest)
@@ -516,7 +532,7 @@ func (n *Node) handleConn(c net.Conn) {
 		switch {
 		case err == nil:
 			resp = n.handleFrame(f)
-			clear(dec.items) // reused headers must not pin the frame's slab
+			clear(dec.items) // reused headers must not pin an oversized frame's body
 		case errors.Is(err, errFrame):
 			resp = n.errorFrame(err.Error())
 		default:

@@ -22,10 +22,10 @@
 // A reader checks bodyLen against MaxFrameBytes before allocating and
 // acts on a frame only once it has been read in full. Every frame is
 // read into the connection's reused buffer (one over maxKeptBuf into
-// its own). A fwd or mig frame's payloads outlive that buffer — the
-// receiving pair keeps them until its drain — so they are copied once,
-// packed into one slab of exactly their bytes (server.PackItems); the
-// frame fields and length prefixes are not.
+// its own), and a decoded frame's items are views of it: the node
+// handles each frame before it reads the next, and the receiving stream
+// copies what it admits into its own arena. Nothing on the wire path
+// copies a payload.
 //
 // The same connections carry forwarded ingest items and migration
 // hand-offs, so a stream's items arrive at the new owner in the order
@@ -41,8 +41,6 @@ import (
 	"io"
 	"math"
 	"slices"
-
-	"repro/internal/server"
 )
 
 // Frame types. Every exchange is request → response on one connection.
@@ -233,9 +231,9 @@ func (d *frameDecoder) intern(b []byte) string {
 }
 
 // readFrame reads the next frame off a connection, sniffing its framing
-// from the first byte, and decodes it through d. The Items slice is
-// d's; only a fwd or mig frame's payloads, packed out of d's buffer,
-// may outlive the next read.
+// from the first byte, and decodes it through d. The Items slice and,
+// for a frame within maxKeptBuf, the payloads are d's: valid until the
+// next read.
 // An error wrapping errFrame leaves the stream in sync (the frame was
 // consumed whole); any other error does not.
 func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
@@ -273,8 +271,7 @@ func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
 	}
 	br.Discard(headerLen)
 	var body []byte
-	reused := d != nil && n <= maxKeptBuf
-	if reused {
+	if d != nil && n <= maxKeptBuf {
 		d.body = slices.Grow(d.body[:0], int(n))[:n]
 		body = d.body
 	} else {
@@ -283,16 +280,7 @@ func readFrame(br *bufio.Reader, d *frameDecoder) (Frame, error) {
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, unexpectedEOF(err)
 	}
-	f, err := decodeData(d, typ, body)
-	if err == nil && reused && keepsPayload(typ) {
-		f.Items = server.PackItems(f.Items[:0], f.Items)
-	}
-	return f, err
-}
-
-// keepsPayload: fwd and mig payloads go into a pair, which keeps them.
-func keepsPayload(typ byte) bool {
-	return int(typ) < len(dataTypes) && (dataTypes[typ] == FrameForward || dataTypes[typ] == FrameMigrate)
+	return decodeData(d, typ, body)
 }
 
 // unexpectedEOF marks an end of stream inside a frame, so it reads as a

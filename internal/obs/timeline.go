@@ -48,7 +48,7 @@ type Record struct {
 	Nanos   int64  // runtime-relative time of the event
 	Manager int    // core manager that observed it
 	Slot    int64  // slot index at the event (-1 when not applicable)
-	Pair    uint64 // pair ID (0 for manager-level records)
+	Pair    uint64 // pair ID; pair IDs start at 0, and a timer fire, which serves several pairs, has none
 	Wake    uint64 // causing fire's Seq (drain records only; 0 when no fire caused it)
 	Items   int    // delivered (drain), dropped (drop), batch size (overrun), pending (fire/wake)
 }

@@ -20,24 +20,33 @@ import (
 	"repro/internal/tenant"
 )
 
-// collector is a consumer that keeps what it is handed, by stream. It
-// keeps the delivered slices themselves, not copies, so a test that
-// reads them back later also proves nothing upstream reused their
-// memory.
+// collector is a consumer that keeps what it is handed, by stream. A
+// batch's payloads are valid only during the handler call, so it keeps
+// copies, taken in the call: what a test reads back is what the handler
+// was handed.
 type collector struct {
 	mu    sync.Mutex
 	items map[string][][]byte
 	n     int
+	// gate, when set, holds every handler call until it is closed: the
+	// handler then reads payloads only after everything sent before has
+	// reused the buffers they arrived in.
+	gate chan struct{}
 }
 
 func (c *collector) handlerFor(key string) func([][]byte) {
 	return func(batch [][]byte) {
+		if c.gate != nil {
+			<-c.gate
+		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if c.items == nil {
 			c.items = make(map[string][][]byte)
 		}
-		c.items[key] = append(c.items[key], batch...)
+		for _, it := range batch {
+			c.items[key] = append(c.items[key], bytes.Clone(it))
+		}
 		c.n += len(batch)
 	}
 }
@@ -790,14 +799,15 @@ func postRounds(t *testing.T, s *Server, key string, perRound bool, rounds, line
 }
 
 // TestBorrowedBodyHeldByHandler: a request's items are views of a
-// pooled body buffer that later requests read into, so what a pair
-// admits is packed out of it first. The handler keeps every batch it is
-// handed (collector); once later requests have reused the buffer, every
-// kept item still reads as sent.
+// pooled body buffer that later requests read into, so the stream
+// copies what it admits into its arena. The handler reads its batches
+// only after every request has reused the buffer, and each item still
+// reads as sent.
 func TestBorrowedBodyHeldByHandler(t *testing.T) {
-	var col collector
+	col := collector{gate: make(chan struct{})}
 	s, _ := newTestServer(t, Config{HandlerFor: col.handlerFor})
 	sent := postRounds(t, s, "held", false, 8, 16)
+	close(col.gate)
 	col.waitFor(t, 8*16)
 	if got := col.strings()["held"]; !reflect.DeepEqual(got, sent["held"]) {
 		t.Fatalf("held items changed under later requests:\n got %q\nwant %q", got, sent["held"])
@@ -806,9 +816,9 @@ func TestBorrowedBodyHeldByHandler(t *testing.T) {
 
 // halfOwner is a cluster router whose owner takes the first half of a
 // batch and leaves the rest here, as Node.Forward does on a partial
-// delivery: it re-admits the rest through IngestForwarded, packed, since
-// Forward keeps nothing of its caller's. With fail set the owner is
-// unreachable and Forward delivers nothing.
+// delivery: it re-admits the rest, the caller's own views, through
+// IngestForwarded. With fail set the owner is unreachable and Forward
+// delivers nothing.
 type halfOwner struct {
 	s    *Server
 	fail bool
@@ -820,7 +830,7 @@ func (o *halfOwner) Forward(tenant, key string, items [][]byte) (IngestResult, e
 		return IngestResult{}, errors.New("owner unreachable")
 	}
 	half := len(items) / 2
-	res, err := o.s.IngestForwarded(tenant, key, PackItems(nil, items[half:]))
+	res, err := o.s.IngestForwarded(tenant, key, items[half:])
 	res.Accepted += half
 	return res, err
 }
@@ -828,16 +838,18 @@ func (o *halfOwner) Status() ClusterStatus { return ClusterStatus{} }
 
 // TestBorrowedBodyForwardReadmitted: the items a forward leaves on this
 // node — re-admitted by the router after a partial delivery, or taken
-// back by the fallback when the owner is unreachable — reach their pair
-// byte-exact after later requests have overwritten the body buffer.
+// back by the fallback when the owner is unreachable — are copied by
+// the stream that admits them, and reach the handler byte-exact after
+// later requests have overwritten the body buffer.
 func TestBorrowedBodyForwardReadmitted(t *testing.T) {
 	for _, fail := range []bool{false, true} {
 		t.Run(fmt.Sprintf("unreachable=%v", fail), func(t *testing.T) {
-			var col collector
+			col := collector{gate: make(chan struct{})}
 			s, _ := newTestServer(t, Config{HandlerFor: col.handlerFor})
 			s.SetRouter(&halfOwner{s: s, fail: fail})
 			const rounds, lines = 6, 16
 			sent := postRounds(t, s, "fwd", true, rounds, lines)
+			close(col.gate)
 			kept := lines / 2
 			if fail {
 				kept = lines
@@ -889,11 +901,11 @@ func (o *splitOwner) Status() ClusterStatus { return ClusterStatus{} }
 
 // TestBorrowedTCPReadPacksOnlyLocal: in cluster mode a raw-TCP read
 // forwards the lines of keys another node owns as views of the read
-// buffer, uncopied, and packs the rest — the lines of keys owned here
-// and those the unreachable owner left here — so they reach their
-// pairs byte-exact after later reads have overwritten the buffer.
+// buffer, uncopied, and the streams copy the rest — the lines of keys
+// owned here and those the unreachable owner left here — so they reach
+// the handler byte-exact after later reads have overwritten the buffer.
 func TestBorrowedTCPReadPacksOnlyLocal(t *testing.T) {
-	var col collector
+	col := collector{gate: make(chan struct{})}
 	s, _ := newTestServer(t, Config{HandlerFor: col.handlerFor})
 	owner := &splitOwner{}
 	s.SetRouter(owner)
@@ -916,6 +928,7 @@ func TestBorrowedTCPReadPacksOnlyLocal(t *testing.T) {
 	}
 	client.Close()
 	<-done
+	close(col.gate)
 	col.waitFor(t, rounds*lines*2/3)
 	got := col.strings()
 	for key, want := range sent {

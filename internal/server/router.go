@@ -70,8 +70,9 @@ type Router interface {
 	// NOT delivered (the caller falls back to local ingest so no item
 	// is lost to routing). Forward keeps nothing of the caller's: the
 	// slice and the payloads may both be reused once it returns (HTTP
-	// items are views of a pooled body buffer), so whatever it keeps —
-	// items it re-admits locally, say — it copies first (PackItems).
+	// items are views of a pooled body buffer). Items it re-admits
+	// locally are copied by the stream that admits them; anything else
+	// it keeps, it copies itself.
 	Forward(tenant, key string, items [][]byte) (IngestResult, error)
 	// Status reports cluster state for /statusz and /metrics.
 	Status() ClusterStatus
@@ -183,7 +184,8 @@ const (
 // putAll offers items to the stream's pair as one batch and returns the
 // verdict plus the items it could not place because the stream was
 // detached (the caller re-resolves those; everything else is accounted
-// in the verdict).
+// in the verdict). Each offer copies the items into the stream's arena
+// (arena.put); items and the returned tail are the caller's.
 //
 // A full pair is the paper's overflow (§V): PutBatch has forced the
 // drain, and the producer waits on it (Pair.AwaitDrain) and offers the
@@ -222,7 +224,7 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 	var waitFrom time.Time
 	var wakeups uint64
 	for {
-		n, err := st.pair.PutBatch(rest)
+		n, err := st.arena.put(st.pair, rest)
 		res.Accepted += n
 		rest = rest[n:]
 		if errors.Is(err, repro.ErrOverflow) && !s.draining.Load() {
@@ -272,12 +274,6 @@ func (s *Server) putAll(src proto, st *stream, items [][]byte) (res IngestResult
 func (s *Server) routedIngest(src proto, tenantID, key string, items [][]byte) (IngestResult, Route, error) {
 	if res, route, ok := s.forward(tenantID, key, items); ok {
 		return res, route, nil
-	}
-	if src == protoHTTP {
-		// HTTP items are views of the pooled body buffer, and the pair
-		// keeps what it admits. (Raw TCP packs once per read, for all
-		// the read's local keys.)
-		items = PackItems(items[:0], items)
 	}
 	res, err := s.ingestLocal(src, tenantID, key, items)
 	return res, Route{Local: true}, err
@@ -335,9 +331,10 @@ func (s *Server) hosts(key string) bool {
 // tenant is the entry node's authenticated tenant id; with a registry,
 // a tenant this node does not know is refused so the entry node falls
 // back to local ingest under its own (authenticated) attribution
-// rather than this node admitting unattributed items. The pair keeps
-// the payloads, not the slice: a caller reading them out of a reused
-// buffer packs them first (PackItems), as the cluster wire decoder does.
+// rather than this node admitting unattributed items. It keeps neither
+// the slice nor the payloads: the stream copies what it admits into its
+// arena, so the cluster wire decoder hands over views of its reused
+// buffer.
 func (s *Server) IngestForwarded(tenant, key string, items [][]byte) (IngestResult, error) {
 	if s.draining.Load() {
 		return IngestResult{}, errors.New("draining")
@@ -359,6 +356,7 @@ func (s *Server) IngestForwarded(tenant, key string, items [][]byte) (IngestResu
 // requeued by the sender after a failed one) through putAll, one batch
 // per attempt, with handoffWaitBound to wait out an overflow: shedding
 // migrated items at the door would turn every migration into item loss.
+// Like IngestForwarded it keeps neither the slice nor the payloads.
 // What is still shed, or meets a quarantined pair, is classified as for
 // any ingest, so the ledger's Shed and Quarantined terms stay honest.
 //
@@ -396,7 +394,9 @@ func (s *Server) IngestHandoff(tenant, key string, items [][]byte, cont bool) (I
 // along with the tenant id the stream was bound to so the new owner
 // charges the same budget. ok=false means this node does not host the
 // stream. After Detach the key's next local ingest creates a fresh
-// pair (or forwards, once the routing table points elsewhere).
+// pair (or forwards, once the routing table points elsewhere). The
+// items are views of the detached stream's arena, which nothing writes
+// again: they stay valid for as long as the caller holds them.
 func (s *Server) DetachStream(key string) (items [][]byte, tenantID string, ok bool) {
 	s.mu.Lock()
 	st, found := s.streams[key]

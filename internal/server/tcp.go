@@ -113,15 +113,14 @@ type tcpKey struct {
 // the table rebuilt as it goes.
 const maxInternedKeys = 1024
 
-// tcpConn is one connection's ingest state. Everything here is reused
-// from chunk to chunk; only the payload slab is allocated per chunk.
+// tcpConn is one connection's ingest state, reused from chunk to chunk.
 type tcpConn struct {
 	s        *Server
 	tn       *tenant.Tenant
 	tenantID string
 	keys     map[string]*tcpKey
-	// The chunk's valid lines: each one's key, and its payload, which
-	// aliases the read buffer until it is packed.
+	// The chunk's valid lines: each one's key, and its payload, a view
+	// of the read buffer.
 	lineKeys []*tcpKey
 	payloads [][]byte
 	active   []*tcpKey // keys with items in the current chunk, by first appearance
@@ -173,9 +172,9 @@ func (s *Server) serveTCP(conn net.Conn) {
 
 // ingest admits every line of chunk: validate, charge the tenant's rate
 // budget once for the lot, forward the lines of keys another node owns
-// (cluster mode), copy the payloads that stay here into one slab
-// (chunk aliases the read buffer, which the next Read overwrites), and
-// hand each local key's items to its pair as one batch. Lines of one
+// (cluster mode), and hand each local key's items to its stream as one
+// batch, which copies them into its arena before the next Read
+// overwrites the buffer chunk aliases. Lines of one
 // key keep their order; every line ends up in exactly one of
 // tcp_malformed, shed_tcp, a forwarded batch or a local one.
 func (c *tcpConn) ingest(chunk []byte) {
@@ -212,8 +211,7 @@ func (c *tcpConn) ingest(chunk []byte) {
 	if s.router != nil {
 		local = c.forward(local)
 	}
-	c.group(PackItems(local[:0], local))
-	clear(c.payloads[:admitted]) // a kept header would pin the slab
+	c.group(local)
 	for _, k := range c.active {
 		// An error is a full pair table (or a key that belongs to
 		// another tenant): drop; creation failures are counted in
@@ -263,7 +261,6 @@ func (c *tcpConn) group(lines [][]byte) {
 // ungroup empties what group filled, keeping the slices for reuse.
 func (c *tcpConn) ungroup() {
 	for _, k := range c.active {
-		clear(k.items) // reused headers must not pin the slab
 		k.items = k.items[:0]
 	}
 	c.active = c.active[:0]

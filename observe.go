@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -271,16 +272,31 @@ func (rt *Runtime) LatencyTotals() (wait, done LatencyDist, ok bool) {
 // migrate. A drain record's Wake equals the Seq of the timer-fire or
 // forced-wake that triggered it (0 for a probe, migration or final
 // drain), so several drains sharing one Wake are the latching payoff
-// made visible.
+// made visible. Pair is the pair's id on every kind but timer-fire,
+// which serves all of a manager's due pairs and carries none (Pair 0,
+// and no "pair" in its JSON).
 type TimelineRecord struct {
 	Seq     uint64 `json:"seq"`
 	Kind    string `json:"kind"`
 	Nanos   int64  `json:"nanos"`
 	Manager int    `json:"manager"`
 	Slot    int64  `json:"slot"`
-	Pair    int    `json:"pair,omitempty"`
+	Pair    int    `json:"pair"`
 	Wake    uint64 `json:"wake,omitempty"`
 	Items   int    `json:"items,omitempty"`
+}
+
+// MarshalJSON writes "pair" on every record of a pair, pair 0 (the
+// first pair opened) included, and none on a timer fire.
+func (r TimelineRecord) MarshalJSON() ([]byte, error) {
+	type record TimelineRecord // without this method
+	if r.Kind != obs.KindTimerFire.String() {
+		return json.Marshal(record(r))
+	}
+	return json.Marshal(struct {
+		record
+		Pair *int `json:"pair,omitempty"` // shadows record.Pair
+	}{record: record(r)})
 }
 
 // TimelineDump returns the surviving wakeup-timeline records in order.
@@ -301,6 +317,9 @@ func (rt *Runtime) TimelineDump() []TimelineRecord {
 
 // timelineRecordOf converts one ring record to its JSON shape.
 func timelineRecordOf(r obs.Record) TimelineRecord {
+	if r.Kind == obs.KindTimerFire {
+		r.Pair = 0
+	}
 	return TimelineRecord{
 		Seq:     r.Seq,
 		Kind:    r.Kind.String(),

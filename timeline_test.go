@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -132,5 +133,57 @@ func TestObserverScheduledFlag(t *testing.T) {
 	}
 	if !waitFor(t, 3*time.Second, func() bool { return drained()["timer-fire"] > 0 }) {
 		t.Fatal("no scheduled drains recorded on a trickle")
+	}
+}
+
+// TestTimelineJSONNamesPairZero: pair ids start at 0, so the first
+// pair's records must still carry "pair" on the wire; only a timer
+// fire, which serves all of a manager's due pairs, carries none.
+func TestTimelineJSONNamesPairZero(t *testing.T) {
+	rt, err := New(
+		WithSlotSize(2*time.Millisecond),
+		WithMaxLatency(10*time.Millisecond),
+		WithTimeline(TimelineDefaultCap),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	pair, err := Open(rt, Batch(func([]int) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pair.ID() != 0 {
+		t.Fatalf("the first pair has id %d, want 0", pair.ID())
+	}
+	if err := pair.Put(1); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for deadline := time.Now().Add(5 * time.Second); !seen["drain"] || !seen["timer-fire"]; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no timer-fire and drain on the timeline: %+v", rt.TimelineDump())
+		}
+		time.Sleep(time.Millisecond)
+		for _, r := range rt.TimelineDump() {
+			seen[r.Kind] = true
+		}
+	}
+	raw, err := json.Marshal(rt.TimelineDump())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []map[string]any
+	if err := json.Unmarshal(raw, &recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		p, has := r["pair"]
+		switch {
+		case r["kind"] == "timer-fire" && has:
+			t.Errorf("timer fire carries a pair: %v", r)
+		case r["kind"] != "timer-fire" && (!has || p != 0.0):
+			t.Errorf("record of pair 0 without \"pair\": 0: %v", r)
+		}
 	}
 }
